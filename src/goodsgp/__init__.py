@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedDimension,
 )
 from .gensys import (
-    ideal_fiber_reach,
     is_minimal_system,
     membership_in_closure,
     minimal_generating_system,
@@ -51,22 +50,7 @@ from .ideals import (
     tail_ideal,
     validate_ideal_small_set,
 )
-from .lattice import (
-    Point,
-    Region,
-    add_trunc,
-    delta,
-    delta_bar,
-    geq,
-    in_region,
-    join,
-    leq,
-    lt,
-    meet,
-    ones,
-    unit,
-    zero,
-)
+from .lattice import Point, geq, join, meet, ones
 from .numerical import (
     NumericalIdeal,
     NumericalSemigroup,
@@ -113,19 +97,10 @@ __all__ = [
     "__version__",
     # lattice
     "Point",
-    "Region",
     "meet",
     "join",
-    "leq",
-    "lt",
     "geq",
-    "add_trunc",
-    "zero",
     "ones",
-    "unit",
-    "delta",
-    "delta_bar",
-    "in_region",
     # errors
     "GoodSgpError",
     "DimensionMismatch",
@@ -180,7 +155,6 @@ __all__ = [
     "membership_in_closure",
     "is_minimal_system",
     "minimal_generating_system",
-    "ideal_fiber_reach",
     "minimal_ideal_generating_system",
     # ideals
     "GoodRelativeIdeal",

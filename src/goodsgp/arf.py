@@ -19,7 +19,7 @@ import itertools
 import warnings
 
 from .errors import DimensionMismatch, NotGoodSemigroup
-from .lattice import Point, geq, join, ones
+from .lattice import Point, geq
 from .numerical import (
     NumericalSemigroup,
     ns_arf_closure,
@@ -30,6 +30,7 @@ from .semigroup import (
     GoodSemigroup,
     SmallSet,
     _require_dim2,
+    _small_subset,
     good_semigroup,
     is_local,
     projection,
@@ -107,16 +108,6 @@ def build_chain_level(t1: NumericalSemigroup, t2: NumericalSemigroup, i: int) ->
     return good_semigroup(_chain_level_small(t1, t2, i))
 
 
-def _level_contains(cand: SmallSet, s: GoodSemigroup) -> bool:
-    # subset test on the box reaching one past both conductors; every member
-    # outside clamps to one inside with the same membership on both sides
-    bound = join(cand.top, s.small.top) + ones(2)
-    for p in itertools.product(range(bound[0] + 1), range(bound[1] + 1)):
-        if s.small.contains(p) and not cand.contains(p):
-            return False
-    return True
-
-
 def arf_closure(s: GoodSemigroup) -> GoodSemigroup:
     """Smallest Arf good semigroup containing s.
 
@@ -139,7 +130,7 @@ def arf_closure(s: GoodSemigroup) -> GoodSemigroup:
     # containment holds at level 1 for local s and fails for good once the
     # glued prefix outgrows the border of s, so the ascent terminates
     level = 1
-    while _level_contains(_chain_level_small(t1, t2, level + 1), s):
+    while _small_subset(s.small, _chain_level_small(t1, t2, level + 1)):
         level += 1
 
     while True:

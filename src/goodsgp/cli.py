@@ -21,8 +21,8 @@ maximum of the points.  "ideal" lists numerical generators of the ideal
 over the base semigroup ("duplication") or over the target ("amalgamation").
 
 Exit codes: 0 success, 1 failed validation or construction, 2 unreadable or
-malformed input, 3 unsupported dimension, 4 operation needs a local
-semigroup.
+malformed input (negative coordinates and dimension mismatches included),
+3 unsupported dimension, 4 operation needs a local semigroup.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     GoodSgpError,
     NonLocalError,
     NotAGeneratingSystem,
-    NotGoodIdeal,
     NotGoodSemigroup,
     UnsupportedDimension,
 )
@@ -447,12 +446,10 @@ def run(argv=None) -> int:
     except NonLocalError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return EXIT_NONLOCAL
-    except (NotGoodSemigroup, NotGoodIdeal) as exc:
+    except ValueError as exc:
+        # argument-domain checks, DimensionMismatch among them
         print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_INVALID
-    except ConstructionError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_PARSE
     except GoodSgpError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return EXIT_INVALID

@@ -6,7 +6,7 @@ class GoodSgpError(Exception):
 
 
 class DimensionMismatch(GoodSgpError, ValueError):
-    """Two points (or a point and a region) have different dimensions."""
+    """Two points have different dimensions."""
 
 
 class UnsupportedDimension(GoodSgpError):

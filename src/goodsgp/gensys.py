@@ -12,15 +12,15 @@ any order reaches the same answer.
 from __future__ import annotations
 
 from .errors import NonLocalError, NotAGeneratingSystem, UnsupportedDimension
+from .ideals import _ideal_closure_member
 from .lattice import Point, meet
-from .semigroup import GoodSemigroup, closure_small, fiber_reaches, is_local
+from .semigroup import GoodSemigroup, closure_small, is_local
 
 __all__ = [
     "monoid_fiber_reach",
     "membership_in_closure",
     "is_minimal_system",
     "minimal_generating_system",
-    "ideal_fiber_reach",
     "minimal_ideal_generating_system",
 ]
 
@@ -158,33 +158,6 @@ def minimal_generating_system(s: GoodSemigroup, order=None) -> tuple:
     return tuple(sorted(current))
 
 
-def ideal_fiber_reach(hgens, s: GoodSemigroup, axis: int, target) -> bool:
-    """Can h + x, with h a given generator and x in s, hit target[axis]
-    exactly while reaching at least target on the other axis?"""
-    if s.dim != 2:
-        raise UnsupportedDimension("fiber reachability is implemented for n = 2 only")
-    if axis not in (0, 1):
-        raise IndexError("axis %d out of range" % (axis,))
-    target = Point(target)
-    j = 1 - axis
-    for h in hgens:
-        h = Point(h)
-        v = target[axis] - h[axis]
-        if v < 0:
-            continue
-        if fiber_reaches(s, axis, v, target[j] - h[j]):
-            return True
-    return False
-
-
-def _ideal_closure_member(hgens, s: GoodSemigroup, top, a) -> bool:
-    if tuple(a) == tuple(top):
-        return bool(hgens)
-    return all(
-        ideal_fiber_reach(hgens, s, i, a) for i in (0, 1) if a[i] != top[i]
-    )
-
-
 def minimal_ideal_generating_system(e) -> tuple:
     """The unique minimal generating system of a good relative ideal.
 
@@ -202,6 +175,6 @@ def minimal_ideal_generating_system(e) -> tuple:
     current = set(candidates)
     for a in candidates:
         rest = [h for h in current if h != a]
-        if _ideal_closure_member(rest, s, top, a):
+        if _ideal_closure_member(s, rest, top, a):
             current.remove(a)
     return tuple(sorted(current))

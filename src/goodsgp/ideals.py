@@ -13,13 +13,10 @@ reproduces Small(E).  The clamp level matters: the same generators can
 clamp to valid data at more than one level, so each constructor states
 which level it uses.  gi_from_generators clamps at the natural corner
 min(H) + C(S), the conductor bound every [H] satisfies, and then lowers it
-while the box data stays exact; the canonical ideal clamps at the ambient
-conductor, the level its construction pins in advance.  Either way the
-reconstruction from the data is authoritative: it can be a strict superset
-of [H], because a clamped point sitting on the border of the box emits a
-ray whether or not the fiber of [H] through it climbs forever.  The
-canonical ideal relies on this: its conductor equals the ambient one even
-though interior columns of the generated set may stop.
+while the box data stays exact.  The reconstruction from the data is
+authoritative: it can be a strict superset of [H], because a clamped point
+sitting on the border of the box emits a ray whether or not the fiber of
+[H] through it climbs forever.
 
 Clamped membership below the corner min(H) + C(S) has a direct
 characterization: p belongs exactly when, for every axis i with p_i below
@@ -31,6 +28,10 @@ coordinate through one of its arguments.  On the border the floor test
 absorbs the clamp.  Finalization lowers the corner to the minimal
 conductor of the data and validates the ideal axioms; failures raise
 NotGoodIdeal with a witness report.
+
+The canonical ideal is not generated but read off its definition: the
+points a of [0, C(S)] such that no member of S shares a coordinate with
+C(S) - (1, 1) - a and strictly dominates it on the other axis.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from functools import cached_property, reduce
 
 from .errors import (
     DimensionMismatch,
-    GoodSgpError,
     NonLocalError,
     NotGoodIdeal,
     UnsupportedDimension,
@@ -52,7 +52,9 @@ from .semigroup import (
     SmallSet,
     ValidationReport,
     Violation,
+    _conductor_violations,
     _coordinate_witness_violations,
+    _meet_violations,
     _require_dim2,
     fiber_reaches,
     is_local,
@@ -115,22 +117,7 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
     pts = small.points
     pset = small.point_set
     top = tuple(small.top)
-    n = len(top)
-    violations = []
-
-    done = False
-    for a in pts:
-        for b in pts:
-            m = tuple(map(min, a, b))
-            if m not in pset:
-                violations.append(
-                    Violation("meet", (a, b), None, "componentwise minimum is missing")
-                )
-                done = True
-                break
-        if done:
-            break
-
+    violations = _meet_violations(small)
     violations.extend(_coordinate_witness_violations(small))
 
     # absorption: adding any ambient member must stay inside.  Ambient
@@ -157,20 +144,7 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
         if done:
             break
 
-    for i in range(n):
-        if top[i] == 0:
-            continue
-        lower = tuple(t - 1 if j == i else t for j, t in enumerate(top))
-        if lower in pset:
-            violations.append(
-                Violation(
-                    "conductor",
-                    (Point(lower),),
-                    i,
-                    "conductor is not minimal: it can be lowered on this axis",
-                )
-            )
-
+    violations.extend(_conductor_violations(small))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -200,37 +174,38 @@ def _finalize_ideal(s: GoodSemigroup, pts_set, corner: Point) -> GoodRelativeIde
     return good_ideal(s, small)
 
 
+def _ideal_closure_member(s: GoodSemigroup, gens, corner, p) -> bool:
+    """Does the box point p lie in the clamp of [gens] into [0, corner]?
+
+    [gens] is the meet closure of gens + S, and empty when gens is.  The
+    test is the per axis witness characterization of the module docstring:
+    axes below the corner need a generator h and an ambient member x with
+    x_i = p_i - h_i and x_j >= p_j - h_j; axes pinned at the corner need
+    none, which is what absorbs the clamp.  n = 2 only.
+    """
+    if not gens:
+        return False
+    for i in (0, 1):
+        if p[i] == corner[i]:
+            continue
+        j = 1 - i
+        if not any(fiber_reaches(s, i, p[i] - h[i], p[j] - h[j]) for h in gens):
+            return False
+    return True
+
+
 def _clamped_closure_points(s: GoodSemigroup, gens, corner: Point) -> set:
     """Points of the box [0, corner] lying in the clamp of [gens] there.
 
-    [gens] is the meet closure of gens + S.  A box point p belongs to the
-    clamp exactly when, for every axis i with p_i below the corner, some
-    generator h admits an ambient member x with x_i = p_i - h_i and
-    x_j >= p_j - h_j on the other axis: such witnesses agree with p on
-    their axis and dominate it elsewhere, and a meet of closure elements
-    realizes each coordinate through one of them.  Axes pinned at the
-    corner need no witness, which is what absorbs the clamp.  Generators
-    past corner + 1 on an axis act exactly like their clamp there, so they
-    are deduplicated after clamping.
+    Generators past corner + 1 on an axis act exactly like their clamp
+    there, so they are deduplicated after clamping.
     """
     cap = corner + ones(2)
     cands = sorted(set(meet(h, cap) for h in gens))
-
-    def member(p):
-        for i in (0, 1):
-            if p[i] == corner[i]:
-                continue
-            j = 1 - i
-            if not any(
-                fiber_reaches(s, i, p[i] - h[i], p[j] - h[j]) for h in cands
-            ):
-                return False
-        return True
-
     return {
         p
         for p in itertools.product(range(corner[0] + 1), range(corner[1] + 1))
-        if member(p)
+        if _ideal_closure_member(s, cands, corner, p)
     }
 
 
@@ -331,26 +306,25 @@ def canonical_generators(s: GoodSemigroup) -> tuple:
 
 
 def canonical_ideal(s: GoodSemigroup) -> GoodRelativeIdeal:
-    """The canonical ideal: points whose reflection through conductor - 1
-    admits no member sharing a coordinate and dominating elsewhere.
+    """The canonical ideal: points a of [0, C] whose reflection
+    x = C - (1, 1) - a admits no member sharing a coordinate with x and
+    strictly dominating it on the other axis.
 
-    Built by clamping the closure of canonical_generators at the ambient
-    conductor, which the construction guarantees is the ideal's own, then
-    cross checked against the definitional scan; a disagreement raises
-    instead of returning wrong data.
+    Its conductor is the ambient one (D'Anna 1997), so the definitional
+    scan over [0, C] is the whole small data.
     """
-    gens = _check_ideal_generators(s, canonical_generators(s))
+    _require_dim2(s, "canonical_ideal")
+    if not is_local(s):
+        raise NonLocalError("the canonical ideal requires a local semigroup")
     top = s.small.top
-    pts = _clamped_closure_points(s, gens, top)
-    small = SmallSet(tuple(sorted(Point(p) for p in pts)), top)
-    from .oracle import brute_canonical
-
-    ref = brute_canonical(s)
-    if small.points != ref.points or tuple(small.top) != tuple(ref.top):
-        raise GoodSgpError(
-            "canonical ideal generators disagree with the definitional scan"
-        )
-    return good_ideal(s, small)
+    g0, g1 = top[0] - 1, top[1] - 1
+    pts = tuple(
+        Point(a)
+        for a in itertools.product(range(top[0] + 1), range(top[1] + 1))
+        if not fiber_reaches(s, 0, g0 - a[0], g1 - a[1] + 1)
+        and not fiber_reaches(s, 1, g1 - a[1], g0 - a[0] + 1)
+    )
+    return GoodRelativeIdeal(s, SmallSet(pts, top))
 
 
 def is_symmetric(s: GoodSemigroup) -> bool:

@@ -1,13 +1,11 @@
-"""Points of Z^n with the componentwise partial order, plus axis-aligned regions.
+"""Points of Z^n with the componentwise partial order.
 
 Python compares tuples lexicographically.  That total order is what we use for
-deterministic sorting of output, but it is NOT the semigroup order.  All order
-tests in this package go through leq/lt/geq below, which compare componentwise.
+deterministic sorting of output, but it is NOT the semigroup order.  Order
+tests in this package compare componentwise, through geq below or inline.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 
@@ -15,17 +13,8 @@ __all__ = [
     "Point",
     "meet",
     "join",
-    "leq",
-    "lt",
     "geq",
-    "add_trunc",
-    "zero",
     "ones",
-    "unit",
-    "Region",
-    "delta",
-    "delta_bar",
-    "in_region",
 ]
 
 
@@ -75,98 +64,11 @@ def join(a: Point, b: Point) -> Point:
     return Point(max(x, y) for x, y in zip(a, b))
 
 
-def leq(a, b) -> bool:
-    """a <= b in every coordinate."""
-    _check_dims(a, b)
-    return all(x <= y for x, y in zip(a, b))
-
-
-def lt(a, b) -> bool:
-    """a <= b and a != b (strict in at least one coordinate)."""
-    _check_dims(a, b)
-    return leq(a, b) and tuple(a) != tuple(b)
-
-
 def geq(a, b) -> bool:
-    return leq(b, a)
-
-
-def add_trunc(a: Point, b: Point, cap: Point) -> Point:
-    """(a + b) truncated componentwise at cap."""
+    """a >= b in every coordinate."""
     _check_dims(a, b)
-    _check_dims(a, cap)
-    return Point(min(x + y, c) for x, y, c in zip(a, b, cap))
-
-
-def zero(n: int) -> Point:
-    return Point((0,) * n)
+    return all(x >= y for x, y in zip(a, b))
 
 
 def ones(n: int) -> Point:
     return Point((1,) * n)
-
-
-def unit(n: int, i: int) -> Point:
-    """The i-th standard basis vector of Z^n."""
-    if not 0 <= i < n:
-        raise IndexError("axis %d out of range for dimension %d" % (i, n))
-    return Point(1 if j == i else 0 for j in range(n))
-
-
-@dataclass(frozen=True)
-class Region:
-    """An axis-aligned region anchored at a base point.
-
-    kind "delta":     coordinates in axes equal the base, all others strictly larger.
-    kind "delta_bar": coordinates in axes equal the base, all others weakly larger.
-
-    With axes = None the region is the union over all singleton axis sets,
-    which is the usual unadorned form.
-    """
-
-    kind: str
-    base: Point
-    axes: frozenset | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("delta", "delta_bar"):
-            raise ValueError("unknown region kind %r" % (self.kind,))
-        if self.axes is not None:
-            object.__setattr__(self, "axes", frozenset(self.axes))
-            for i in self.axes:
-                if not 0 <= i < self.base.dim:
-                    raise IndexError("axis %d out of range" % (i,))
-
-
-def delta(base: Point, axes=None) -> Region:
-    return Region("delta", base, None if axes is None else frozenset(axes))
-
-
-def delta_bar(base: Point, axes=None) -> Region:
-    return Region("delta_bar", base, None if axes is None else frozenset(axes))
-
-
-def _in_fixed_axes(p, base, axes, strict):
-    for i in range(base.dim):
-        if i in axes:
-            if p[i] != base[i]:
-                return False
-        elif strict:
-            if p[i] <= base[i]:
-                return False
-        else:
-            if p[i] < base[i]:
-                return False
-    return True
-
-
-def in_region(p: Point, region: Region) -> bool:
-    """Decide membership of p in the region."""
-    _check_dims(p, region.base)
-    strict = region.kind == "delta"
-    if region.axes is not None:
-        return _in_fixed_axes(p, region.base, region.axes, strict)
-    return any(
-        _in_fixed_axes(p, region.base, frozenset((i,)), strict)
-        for i in range(region.base.dim)
-    )

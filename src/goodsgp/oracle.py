@@ -1,9 +1,10 @@
 """Brute force reference computations.
 
-Definition following implementations used to cross check the fast code
-paths, in tests and in the canonical ideal pipeline.  Everything here favors
-directness over speed: plain box scans, explicit ray semantics, and no
-shared logic with the optimized modules beyond the Point type.
+Definition following implementations that the tests and the benchmark checks
+use to cross check the library's code paths.  No library module calls them;
+the package only re-exports them.  Everything here favors directness over
+speed: plain box scans, explicit ray semantics, and no shared logic with the
+optimized modules beyond the Point type.
 """
 
 from __future__ import annotations

@@ -80,6 +80,17 @@ class SmallSet:
     def point_set(self) -> frozenset:
         return frozenset(map(tuple, self.points))
 
+    @cached_property
+    def fiber_max(self) -> tuple:
+        """n = 2 only: per axis i, each value the points take on axis i
+        mapped to the largest other coordinate among the points taking it."""
+        idx = ({}, {})
+        for p in self.points:
+            for i in (0, 1):
+                if p[1 - i] > idx[i].get(p[i], -1):
+                    idx[i][p[i]] = p[1 - i]
+        return idx
+
     @property
     def dim(self) -> int:
         return self.top.dim
@@ -151,22 +162,6 @@ class GoodSemigroup:
     def __contains__(self, p):
         return gs_contains(self, p)
 
-    @cached_property
-    def _fiber_index(self):
-        # n = 2 only: per axis, fiber value -> (max other coordinate,
-        # whether some fiber member touches the top on the other axis)
-        top = self.small.top
-        idx = []
-        for i in (0, 1):
-            j = 1 - i
-            m = {}
-            for p in self.small.points:
-                cur = m.get(p[i], -1)
-                if p[j] > cur:
-                    m[p[i]] = p[j]
-            idx.append({v: (mx, mx == top[j]) for v, mx in m.items()})
-        return idx
-
 
 def fiber_reaches(s: GoodSemigroup, axis: int, value: int, floor: int) -> bool:
     """Does some member of s have exactly `value` on `axis` and at least
@@ -178,11 +173,11 @@ def fiber_reaches(s: GoodSemigroup, axis: int, value: int, floor: int) -> bool:
         return False
     if value >= s.small.top[axis]:
         return True
-    entry = s._fiber_index[axis].get(value)
-    if entry is None:
+    best = s.small.fiber_max[axis].get(value)
+    if best is None:
         return False
-    best, touches_top = entry
-    return touches_top or best >= floor
+    # a fiber member on the top of the other axis starts a ray there
+    return best >= floor or best == s.small.top[1 - axis]
 
 
 def closure_small(gens, conductor) -> SmallSet:
@@ -297,13 +292,7 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     n = len(top)
     out = []
     if n == 2:
-        fiber_max = [{}, {}]  # per axis: shared value -> max other coordinate
-        for p in pts:
-            for i in (0, 1):
-                j = 1 - i
-                cur = fiber_max[i].get(p[i])
-                if cur is None or p[j] > cur:
-                    fiber_max[i][p[i]] = p[j]
+        fiber_max = small.fiber_max
         for a in pts:
             for i in (0, 1):
                 j = 1 - i
@@ -358,6 +347,38 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     return out
 
 
+def _meet_violations(small: SmallSet) -> list:
+    """The first pair of points whose componentwise minimum is missing."""
+    pset = small.point_set
+    for a in small.points:
+        for b in small.points:
+            if tuple(map(min, a, b)) not in pset:
+                return [
+                    Violation("meet", (a, b), None, "componentwise minimum is missing")
+                ]
+    return []
+
+
+def _conductor_violations(small: SmallSet) -> list:
+    """One violation per axis on which the top can be lowered by one step."""
+    top = tuple(small.top)
+    out = []
+    for i in range(len(top)):
+        if top[i] == 0:
+            continue
+        lower = tuple(t - 1 if j == i else t for j, t in enumerate(top))
+        if lower in small.point_set:
+            out.append(
+                Violation(
+                    "conductor",
+                    (Point(lower),),
+                    i,
+                    "conductor is not minimal: it can be lowered on this axis",
+                )
+            )
+    return out
+
+
 def validate_small_set(small: SmallSet) -> ValidationReport:
     """Check the good semigroup axioms on a candidate small set.
 
@@ -374,18 +395,7 @@ def validate_small_set(small: SmallSet) -> ValidationReport:
     if (0,) * n not in pset:
         violations.append(Violation("zero", (), None, "0 is not a member"))
 
-    done = False
-    for a in pts:
-        for b in pts:
-            m = tuple(map(min, a, b))
-            if m not in pset:
-                violations.append(
-                    Violation("meet", (a, b), None, "componentwise minimum is missing")
-                )
-                done = True
-                break
-        if done:
-            break
+    violations.extend(_meet_violations(small))
 
     done = False
     for a in pts:
@@ -401,21 +411,7 @@ def validate_small_set(small: SmallSet) -> ValidationReport:
             break
 
     violations.extend(_coordinate_witness_violations(small))
-
-    for i in range(n):
-        if top[i] == 0:
-            continue
-        lower = tuple(t - 1 if j == i else t for j, t in enumerate(top))
-        if lower in pset:
-            violations.append(
-                Violation(
-                    "conductor",
-                    (Point(lower),),
-                    i,
-                    "conductor is not minimal: it can be lowered on this axis",
-                )
-            )
-
+    violations.extend(_conductor_violations(small))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -444,24 +440,24 @@ def gs_contains(s: GoodSemigroup, p) -> bool:
     return s.small.contains(Point(p))
 
 
-def gs_subset(s: GoodSemigroup, t: GoodSemigroup) -> bool:
-    """Whether s is contained in t.
+def _small_subset(a: SmallSet, b: SmallSet) -> bool:
+    """Whether the set a reconstructs lies inside the one b reconstructs.
 
-    Both semigroups agree with their periodic continuation past the join of
-    the conductors, so containment is decided on the box reaching one step
-    beyond it.
+    Both agree with their periodic continuation past the join of the tops,
+    so containment is decided on the box reaching one step beyond it.
     """
-    if s.dim != t.dim:
-        raise DimensionMismatch("dimension %d vs %d" % (s.dim, t.dim))
-    bound = tuple(
-        max(a, b) + 1 for a, b in zip(s.small.top, t.small.top)
-    )
-    ssmall = s.small
-    tsmall = t.small
-    for p in itertools.product(*(range(b + 1) for b in bound)):
-        if ssmall.contains(p) and not tsmall.contains(p):
+    bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
+    for p in itertools.product(*(range(c + 1) for c in bound)):
+        if a.contains(p) and not b.contains(p):
             return False
     return True
+
+
+def gs_subset(s: GoodSemigroup, t: GoodSemigroup) -> bool:
+    """Whether s is contained in t."""
+    if s.dim != t.dim:
+        raise DimensionMismatch("dimension %d vs %d" % (s.dim, t.dim))
+    return _small_subset(s.small, t.small)
 
 
 def gs_equal(s: GoodSemigroup, t: GoodSemigroup) -> bool:

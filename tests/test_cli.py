@@ -291,6 +291,32 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (
+            ["check"],
+            {"kind": "generators", "generators": [[2, 3]], "conductor": [-2, 4]},
+        ),
+        (
+            ["check"],
+            {"kind": "generators", "generators": [[2, 3], [3, 3, 1]], "conductor": [4, 4]},
+        ),
+        (
+            ["is-mingens", "--gens", "[[2, 2], [-1, 3]]"],
+            {"kind": "duplication", "semigroup": [2, 3], "ideal": [6]},
+        ),
+    ],
+    ids=["negative-conductor", "generator-dimension", "negative-gens-point"],
+)
+def test_argument_domain_errors_exit_two(capsys, tmp_path, argv, doc):
+    path = _write(tmp_path, "doc.json", doc)
+    code, out, err = _run(capsys, [argv[0], path] + argv[1:])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_construction_errors_exit_one(capsys, tmp_path):
     doc = _write(
         tmp_path, "bad.json", {"kind": "duplication", "semigroup": [2, 3], "ideal": [1]}

@@ -12,9 +12,10 @@ from goodsgp import (
     NotAGeneratingSystem,
     Point,
     closure_small,
+    brute_member,
     gs_contains,
-    ideal_fiber_reach,
     is_minimal_system,
+    join,
     membership_in_closure,
     minimal_generating_system,
     monoid_fiber_reach,
@@ -136,22 +137,30 @@ def test_both_product_systems_regenerate_the_product(product_nonlocal):
 
 
 def _ideal_closure_points(hgens, s, top):
-    # membership scan for the ideal closure of hgens truncated at top
-    pts = []
-    for x in range(top[0] + 1):
-        for y in range(top[1] + 1):
-            a = Point((x, y))
-            if tuple(a) == tuple(top):
-                ok = bool(hgens)
-            else:
-                ok = all(
-                    ideal_fiber_reach(hgens, s, i, a)
-                    for i in (0, 1)
-                    if a[i] != top[i]
-                )
-            if ok:
-                pts.append(a)
-    return tuple(pts)
+    # brute force: the meet closure of min(h + x, top) over the generators h
+    # and the ambient members x in [0, join(top, C(S)) + 1]; members further
+    # out clamp to the same points
+    bound = join(top, s.small.top)
+    members = [
+        x
+        for x in itertools.product(range(bound[0] + 2), range(bound[1] + 2))
+        if brute_member(s.small.points, s.small.top, x)
+    ]
+    pts = {
+        (min(h[0] + x[0], top[0]), min(h[1] + x[1], top[1]))
+        for h in hgens
+        for x in members
+    }
+    changed = True
+    while changed:
+        changed = False
+        for a in list(pts):
+            for b in list(pts):
+                m = (min(a[0], b[0]), min(a[1], b[1]))
+                if m not in pts:
+                    pts.add(m)
+                    changed = True
+    return tuple(sorted(Point(p) for p in pts))
 
 
 def test_tail_generating_systems_round_trip(dup_example):

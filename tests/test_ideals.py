@@ -15,13 +15,11 @@ from goodsgp import (
     brute_canonical,
     canonical_generators,
     canonical_ideal,
-    delta,
     gi_contains,
     gi_from_generators,
     good_ideal,
     good_semigroup,
     gs_contains,
-    in_region,
     is_stable,
     is_symmetric,
     minimal_ideal_generating_system,
@@ -161,8 +159,8 @@ def test_canonical_ideal_golden_values(arfex1, arfex2, arfex3):
 
 
 def test_canonical_ideal_by_the_gap_region_scan(dup_example, arfex1):
-    # membership in the canonical ideal: nothing of S sits in the slice
-    # region anchored one step below the mirrored point
+    # membership in the canonical ideal: no member of S shares a coordinate
+    # with the mirrored point and strictly dominates it on the other axis
     for s in (dup_example, arfex1):
         top = s.small.top
         gamma = Point(top) - ones(2)
@@ -175,7 +173,11 @@ def test_canonical_ideal_by_the_gap_region_scan(dup_example, arfex1):
         k = canonical_ideal(s)
         for a in itertools.product(range(top[0] + 1), range(top[1] + 1)):
             mirror = gamma - Point(a)
-            empty = not any(in_region(p, delta(mirror)) for p in members)
+            empty = not any(
+                p[i] == mirror[i] and p[1 - i] > mirror[1 - i]
+                for p in members
+                for i in (0, 1)
+            )
             assert gi_contains(k, a) == empty
 
 
@@ -217,6 +219,8 @@ def test_canonical_matches_the_brute_scan_on_random_instances():
         ref = brute_canonical(s)
         assert k.small.points == ref.points
         assert tuple(k.small.top) == tuple(ref.top)
+        assert validate_ideal_small_set(s, k.small).ok
+        assert gi_from_generators(s, canonical_generators(s)).small == k.small
 
 
 def test_tail_mingens_round_trip_on_random_instances():

@@ -1,4 +1,4 @@
-"""Point arithmetic, the componentwise order, and axis-aligned regions."""
+"""Point arithmetic and the componentwise order."""
 
 from __future__ import annotations
 
@@ -6,23 +6,7 @@ import random
 
 import pytest
 
-from goodsgp import (
-    DimensionMismatch,
-    Point,
-    Region,
-    add_trunc,
-    delta,
-    delta_bar,
-    geq,
-    in_region,
-    join,
-    leq,
-    lt,
-    meet,
-    ones,
-    unit,
-    zero,
-)
+from goodsgp import DimensionMismatch, Point, geq, join, meet, ones
 
 
 def test_point_is_a_tuple_of_ints():
@@ -64,61 +48,17 @@ def test_meet_join_are_componentwise():
 def test_order_predicates():
     a = Point((2, 3))
     b = Point((2, 5))
-    assert leq(a, b) and not leq(b, a)
-    assert lt(a, b) and not lt(a, a)
-    assert geq(b, a)
+    assert geq(b, a) and not geq(a, b)
+    assert geq(a, a)
     # incomparable pairs fail both directions
     c = Point((3, 1))
-    assert not leq(a, c) and not leq(c, a)
-
-
-def test_add_trunc_caps_each_coordinate():
-    cap = Point((6, 6))
-    assert add_trunc(Point((4, 2)), Point((5, 1)), cap) == Point((6, 3))
-    assert add_trunc(Point((1, 1)), Point((2, 2)), cap) == Point((3, 3))
+    assert not geq(c, a) and not geq(a, c)
+    with pytest.raises(DimensionMismatch):
+        geq(a, Point((1, 2, 3)))
 
 
 def test_constant_points():
-    assert zero(3) == Point((0, 0, 0))
     assert ones(2) == Point((1, 1))
-    assert unit(2, 1) == Point((0, 1))
-    with pytest.raises(IndexError):
-        unit(2, 2)
-
-
-def test_region_kinds_are_checked():
-    with pytest.raises(ValueError):
-        Region("diag", Point((0, 0)))
-    with pytest.raises(IndexError):
-        delta(Point((0, 0)), axes=(2,))
-
-
-def test_delta_fixed_axis_membership():
-    r = delta(Point((2, 3)), axes=(0,))
-    assert in_region(Point((2, 4)), r)
-    assert not in_region(Point((2, 3)), r)  # off-axis must be strictly larger
-    assert not in_region(Point((3, 4)), r)  # axis coordinate must match
-
-
-def test_delta_bar_allows_equality_off_axis():
-    r = delta_bar(Point((2, 3)), axes=(0,))
-    assert in_region(Point((2, 3)), r)
-    assert in_region(Point((2, 9)), r)
-    assert not in_region(Point((2, 2)), r)
-
-
-def test_unadorned_delta_is_the_union_over_axes():
-    base = Point((3, 3))
-    r = delta(base)
-    assert in_region(Point((3, 5)), r)
-    assert in_region(Point((7, 3)), r)
-    assert not in_region(base, r)
-    assert not in_region(Point((4, 5)), r)  # shares no coordinate with base
-
-
-def test_in_region_checks_dimensions():
-    with pytest.raises(DimensionMismatch):
-        in_region(Point((1, 2, 3)), delta(Point((0, 0))))
 
 
 def test_lattice_laws_hold_on_random_points():
@@ -132,5 +72,5 @@ def test_lattice_laws_hold_on_random_points():
         assert join(a, b) == join(b, a)
         assert meet(a, meet(b, c)) == meet(meet(a, b), c)
         assert join(a, meet(a, b)) == a  # absorption
-        assert leq(meet(a, b), a) and leq(a, join(a, b))
-        assert leq(a, b) == (meet(a, b) == a)
+        assert geq(a, meet(a, b)) and geq(join(a, b), a)
+        assert geq(b, a) == (meet(a, b) == a)

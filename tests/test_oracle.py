@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 import random
 
+import goodsgp
 from goodsgp import (
     Point,
     brute_arf_check,
@@ -85,3 +88,23 @@ def test_brute_oracles_agree_on_random_instances():
             assert brute_member(s.small.points, top, p) == gs_contains(s, p)
         box = (top[0] + 2, top[1] + 2)
         assert brute_arf_check(s, box) == is_arf(s)
+
+
+def test_no_library_module_imports_the_oracle():
+    # the references stay independent of the code they check: only the
+    # package root, which re-exports them, may import oracle
+    offenders = []
+    for path in sorted(pathlib.Path(goodsgp.__file__).parent.glob("*.py")):
+        if path.name in ("oracle.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                prefix = node.module + "." if node.module else ""
+                names = [node.module or ""] + [prefix + a.name for a in node.names]
+            else:
+                continue
+            if any("oracle" in name.split(".") for name in names):
+                offenders.append(path.name)
+    assert offenders == []
