@@ -54,6 +54,7 @@ from .semigroup import (
     Violation,
     _conductor_violations,
     _coordinate_witness_violations,
+    _first_missing_sum,
     _meet_violations,
     _require_dim2,
     fiber_reaches,
@@ -108,44 +109,62 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
     coordinate witness property, absorption of ambient members, and
     minimality of the conductor.  There is no zero or sum closure axiom for
     ideals.
+
+    Absorption adds every ambient member q of the box up to the join of both
+    conductors to the data; beyond it every sum clamps to one already
+    checked.  For n = 2 each q is tested against all of the data at once by
+    a column scan over the data's bit rows, and the witness is the first q,
+    in box order, with the first point e whose clamped sum with q is
+    missing.
     """
     if ambient.dim != small.dim:
         raise DimensionMismatch(
             "ideal data %r does not match an ambient of dimension %d"
             % (small.top, ambient.dim)
         )
-    pts = small.points
-    pset = small.point_set
-    top = tuple(small.top)
     violations = _meet_violations(small)
     violations.extend(_coordinate_witness_violations(small))
-
-    # absorption: adding any ambient member must stay inside.  Ambient
-    # representatives are scanned up to the join of both conductors; beyond
-    # it every sum clamps to one already checked.
-    bound = join(small.top, ambient.small.top)
-    done = False
-    for q in itertools.product(*(range(b + 1) for b in bound)):
-        if not ambient.small.contains(q):
-            continue
-        for e in pts:
-            t = tuple(min(x + y, c) for x, y, c in zip(e, q, top))
-            if t not in pset:
-                violations.append(
-                    Violation(
-                        "absorption",
-                        (e, Point(q)),
-                        None,
-                        "translate by an ambient member leaves the ideal",
-                    )
-                )
-                done = True
-                break
-        if done:
-            break
-
+    violations.extend(_absorption_violations(ambient, small))
     violations.extend(_conductor_violations(small))
     return ValidationReport(not violations, tuple(violations))
+
+
+def _ambient_members(ambient: GoodSemigroup, small: SmallSet):
+    """Ambient members of the box up to the join of both conductors, in
+    itertools.product order."""
+    bound = join(small.top, ambient.small.top)
+    for q in itertools.product(*(range(b + 1) for b in bound)):
+        if ambient.small.contains(q):
+            yield q
+
+
+def _absorption_violation(e, q) -> Violation:
+    return Violation(
+        "absorption",
+        (e, Point(q)),
+        None,
+        "translate by an ambient member leaves the ideal",
+    )
+
+
+def _absorption_violations(ambient: GoodSemigroup, small: SmallSet) -> list:
+    """The first ambient member q, and then point e of the data, whose
+    clamped sum is missing from the data."""
+    if small.dim != 2:
+        return _absorption_pair_scan(ambient, small)
+    pair = _first_missing_sum(small, _ambient_members(ambient, small))
+    return [] if pair is None else [_absorption_violation(pair[1], pair[0])]
+
+
+def _absorption_pair_scan(ambient: GoodSemigroup, small: SmallSet) -> list:
+    """_absorption_violations by the scan over every member and point."""
+    pset = small.point_set
+    top = tuple(small.top)
+    for q in _ambient_members(ambient, small):
+        for e in small.points:
+            if tuple(min(x + y, c) for x, y, c in zip(e, q, top)) not in pset:
+                return [_absorption_violation(e, q)]
+    return []
 
 
 def good_ideal(ambient: GoodSemigroup, small: SmallSet) -> GoodRelativeIdeal:

@@ -21,6 +21,8 @@ __all__ = [
 class Point(tuple):
     """An immutable point of Z^n.  Addition and subtraction are componentwise."""
 
+    __slots__ = ()
+
     def __new__(cls, coords):
         p = super().__new__(cls, (int(c) for c in coords))
         if not p:

@@ -10,6 +10,22 @@ candidate set X with top element T is
 
 and validation checks whether that reconstruction is closed under meets and
 sums, has the coordinate witness property, and uses a minimal conductor.
+
+For n = 2 a small set is also held as bit rows (SmallSet.rows): one int per
+column x in [0, C_0], with bit y set exactly when (x, y) is a point.  The
+meet check and the truncated sum check of validate_small_set, and the meet
+and absorption checks of the ideal validator, are column scans over these
+rows instead of scans over pairs of points:
+
+* the set is meet closed exactly when no column x has a point above a bit
+  that is missing from it but set in a column right of x;
+* min(a + b, C) for all b of one column x is that row shifted up by a_1,
+  with every bit at or above C_1 standing for C_1, and it must lie in the
+  column min(a_0 + x, C_0).
+
+Both report the same witnesses, in the same order, as the pair scans they
+replace; those pair scans remain for n != 2.  The zero, coordinate witness
+and conductor checks work on the points directly in every dimension.
 """
 
 from __future__ import annotations
@@ -73,12 +89,22 @@ class SmallSet:
                 raise ValueError("point %r has a negative coordinate" % (p,))
             if any(x > t for x, t in zip(p, self.top)):
                 raise ValueError("point %r exceeds the top %r" % (p, self.top))
-        if tuple(self.top) not in set(map(tuple, self.points)):
+        if self.top not in self.point_set:
             raise ValueError("top %r is not in the point set" % (self.top,))
 
     @cached_property
     def point_set(self) -> frozenset:
-        return frozenset(map(tuple, self.points))
+        # Points hash and compare as tuples, so plain tuples look them up
+        return frozenset(self.points)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """n = 2 only: per x in [0, top_0], the int with bit y set exactly
+        when (x, y) is a point."""
+        rows = [0] * (self.top[0] + 1)
+        for x, y in self.points:
+            rows[x] |= 1 << y
+        return tuple(rows)
 
     @cached_property
     def fiber_max(self) -> tuple:
@@ -347,15 +373,104 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     return out
 
 
+def _low_bit(v: int) -> int:
+    """Index of the lowest set bit of v > 0."""
+    return (v & -v).bit_length() - 1
+
+
+def _meet_violation(a, b) -> Violation:
+    return Violation("meet", (a, b), None, "componentwise minimum is missing")
+
+
 def _meet_violations(small: SmallSet) -> list:
-    """The first pair of points whose componentwise minimum is missing."""
+    """The first pair of points whose componentwise minimum is missing.
+
+    For n = 2 the pair a, b with a_0 < b_0 and a_1 > b_1 fails exactly when
+    (a_0, b_1) is missing: b_1 is a hole of column a_0.  The pair scan
+    reports the lexicographically first a with a failing partner, and every
+    partner of that a lies right of it, since a partner left of a would be
+    an earlier point failing with a.  So with the holes of a column taken
+    among the bits set further right, a is the lowest point above a hole in
+    the first column that has one, and b the first point right of a on a
+    hole below a_1.
+    """
+    if small.dim != 2:
+        return _meet_pair_scan(small)
+    rows = small.rows
+    right = [0] * (len(rows) + 1)  # right[x]: the union of the columns from x on
+    for x in range(len(rows) - 1, -1, -1):
+        right[x] = right[x + 1] | rows[x]
+    for a0, r in enumerate(rows):
+        holes = right[a0 + 1] & ~r
+        if not holes:
+            continue
+        low = _low_bit(holes)
+        above = r >> low << low  # the points above the lowest hole
+        if above:
+            a1 = _low_bit(above)
+            below = holes & ((1 << a1) - 1)
+            b0 = next(x for x in range(a0 + 1, len(rows)) if rows[x] & below)
+            b1 = _low_bit(rows[b0] & below)
+            return [_meet_violation(Point((a0, a1)), Point((b0, b1)))]
+    return []
+
+
+def _meet_pair_scan(small: SmallSet) -> list:
+    """_meet_violations by the scan over all pairs of points."""
     pset = small.point_set
     for a in small.points:
         for b in small.points:
             if tuple(map(min, a, b)) not in pset:
-                return [
-                    Violation("meet", (a, b), None, "componentwise minimum is missing")
-                ]
+                return [_meet_violation(a, b)]
+    return []
+
+
+def _first_missing_sum(small: SmallSet, addends):
+    """The first a of addends, then the first point b of small, such that
+    min(a + b, top) is not a point, as (a, b); None when there is none.
+    n = 2 only.
+
+    Column x of the rows, shifted up by a_1, must lie in column
+    min(a_0 + x, top_0).  A shifted bit at or above top_1 stands for top_1,
+    so a target column counts every bit from top_1 on as missing when it
+    lacks top_1, and none of them otherwise; then b_1 is the lowest missing
+    bit minus a_1 whether or not its sum was clamped.
+    """
+    rows = small.rows
+    t0, t1 = small.top
+    below = (1 << t1) - 1
+    missing = [~r & below if r >> t1 & 1 else ~r for r in rows]
+    missing += [missing[t0]] * t0  # indexed by min(a_0, top_0) + x
+    cols = [(x, r) for x, r in enumerate(rows) if r]
+    for a in addends:
+        a0, a1 = min(a[0], t0), a[1]
+        for x, r in cols:
+            miss = r << a1 & missing[a0 + x]
+            if miss:
+                return a, Point((x, _low_bit(miss) - a1))
+    return None
+
+
+def _sum_violation(a, b) -> Violation:
+    return Violation("sum", (a, b), None, "truncated sum is missing")
+
+
+def _sum_violations(small: SmallSet) -> list:
+    """The first pair of points whose truncated sum is missing."""
+    if small.dim != 2:
+        return _sum_pair_scan(small)
+    pair = _first_missing_sum(small, small.points)
+    return [] if pair is None else [_sum_violation(*pair)]
+
+
+def _sum_pair_scan(small: SmallSet) -> list:
+    """_sum_violations by the scan over all pairs of points."""
+    pset = small.point_set
+    top = tuple(small.top)
+    for a in small.points:
+        for b in small.points:
+            if tuple(min(x + y, t) for x, y, t in zip(a, b, top)) not in pset:
+                return [_sum_violation(a, b)]
     return []
 
 
@@ -386,30 +501,11 @@ def validate_small_set(small: SmallSet) -> ValidationReport:
     closure, closure under (truncated) addition, the shared coordinate
     witness property, and minimality of the conductor.
     """
-    pts = small.points
-    pset = small.point_set
-    top = tuple(small.top)
-    n = len(top)
     violations = []
-
-    if (0,) * n not in pset:
+    if (0,) * small.dim not in small.point_set:
         violations.append(Violation("zero", (), None, "0 is not a member"))
-
     violations.extend(_meet_violations(small))
-
-    done = False
-    for a in pts:
-        for b in pts:
-            s = tuple(min(x + y, t) for x, y, t in zip(a, b, top))
-            if s not in pset:
-                violations.append(
-                    Violation("sum", (a, b), None, "truncated sum is missing")
-                )
-                done = True
-                break
-        if done:
-            break
-
+    violations.extend(_sum_violations(small))
     violations.extend(_coordinate_witness_violations(small))
     violations.extend(_conductor_violations(small))
     return ValidationReport(not violations, tuple(violations))

@@ -27,6 +27,10 @@ from goodsgp import (
     ns_from_generators,
 )
 
+# The benchmark's conductor ladder: the duplications "S by e + S" of <3,5> by
+# 5 (C=13) and <5,7> by 7 (C=31)
+LADDER = {13: ([3, 5], 5), 31: ([5, 7], 7)}
+
 
 def random_numerical(rng, max_conductor=10):
     """A random numerical semigroup whose conductor stays small."""
@@ -110,3 +114,56 @@ def corpus(seed, count, cap=15, local_only=True):
     """A reusable tuple of random good semigroups for property loops."""
     rng = random.Random(seed)
     return tuple(random_good_semigroup(rng, cap, local_only) for _ in range(count))
+
+
+@lru_cache(maxsize=None)
+def ladder_duplication(rung):
+    gens, e = LADDER[rung]
+    s = ns_from_generators(gens)
+    return duplication(s, ideal_from_generators(s, [e]))
+
+
+def _middle(cands):
+    return sorted(cands)[len(cands) // 2]
+
+
+def _fiber_top(pts, i):
+    """Per value on axis i, the largest coordinate on the other axis."""
+    out = {}
+    for p in pts:
+        out[p[i]] = max(out.get(p[i], -1), p[1 - i])
+    return out
+
+
+def corrupt(pts, top, axiom):
+    """A copy of valid n = 2 small data that breaks the given axiom, made
+    the way the benchmark makes its reject documents: the corrupted point
+    is the middle candidate in lexicographic order."""
+    pts = [tuple(p) for p in pts]
+    top = tuple(top)
+    if axiom == "zero":
+        return [p for p in pts if any(p)], top
+    if axiom == "sum":
+        # drop a doubled point 2a below the top, so a + a goes missing
+        pset = set(pts)
+        doubled = [(2 * x, 2 * y) for x, y in pts if x or y]
+        d = _middle([p for p in doubled if p in pset and p[0] < top[0] and p[1] < top[1]])
+        return [p for p in pts if p != d], top
+    if axiom == "meet":
+        # drop m with points above it on both of its fibers; they meet at m
+        up = _fiber_top(pts, 0), _fiber_top(pts, 1)
+        m = _middle([p for p in pts if any(p) and up[0][p[0]] > p[1] and up[1][p[1]] > p[0]])
+        return [p for p in pts if p != m], top
+    if axiom == "witness":
+        # a keeps a point above it on its axis-0 fiber but loses every point
+        # sharing a_1 beyond it on axis 0
+        up = _fiber_top(pts, 0)
+        a = _middle([p for p in pts if all(p) and p[0] < top[0] and p[1] < top[1]
+                     and up[p[0]] > p[1]])
+        return [p for p in pts if not (p[1] == a[1] and p[0] > a[0])], top
+    if axiom == "conductor":
+        # extend the border rays one step on axis 0: the same semigroup, but
+        # the top is no longer minimal
+        ext = [(x + 1, y) for x, y in pts if x == top[0]]
+        return pts + ext, (top[0] + 1, top[1])
+    raise ValueError(axiom)

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodsgp import (
     NonLocalError,
     NotGoodIdeal,
     Point,
     UnsupportedDimension,
+    Violation,
     brute_canonical,
     canonical_generators,
     canonical_ideal,
@@ -29,9 +32,10 @@ from goodsgp import (
     tail_ideal,
     validate_ideal_small_set,
 )
+from goodsgp import ideals, semigroup
 
 import _data as data
-from _corpus import corpus
+from _corpus import corpus, ladder_duplication
 
 
 def _shift(rows, by):
@@ -232,3 +236,58 @@ def test_tail_mingens_round_trip_on_random_instances():
         gens = minimal_ideal_generating_system(e)
         assert all(gi_contains(e, g) for g in gens)
         assert tuple(e.min_element) in {tuple(g) for g in gens}
+
+
+def test_absorption_by_a_member_above_the_top(dup_example):
+    # the ambient member (2, 2) passes the data's top (3, 0) on axis 1
+    report = validate_ideal_small_set(dup_example, small_set([(0, 0), (3, 0)], (3, 0)))
+    assert report.violations == (
+        Violation(
+            "absorption",
+            (Point((0, 0)), Point((2, 2))),
+            None,
+            "translate by an ambient member leaves the ideal",
+        ),
+    )
+
+
+def _pair_scan_report(ambient, small):
+    """validate_ideal_small_set with the pair scans in place of the n = 2
+    rows."""
+    with mock.patch.object(ideals, "_meet_violations", semigroup._meet_pair_scan), \
+            mock.patch.object(ideals, "_absorption_violations", ideals._absorption_pair_scan):
+        return validate_ideal_small_set(ambient, small)
+
+
+_AMBIENTS = corpus(518, 12, cap=8) + (ladder_duplication(13),)
+
+
+@st.composite
+def _boxed_ideal_data(draw):
+    """An ambient semigroup and any subset of a box whose corner, the top,
+    lies below the ambient conductor on one axis."""
+    s = draw(st.sampled_from(_AMBIENTS))
+    c = s.small.top
+    top = [draw(st.integers(0, c[0] + 3)), draw(st.integers(0, c[1] + 3))]
+    low = draw(st.integers(0, 1))
+    top[low] = draw(st.integers(0, max(c[low] - 1, 0)))
+    top = tuple(top)
+    pts = draw(st.sets(st.tuples(st.integers(0, top[0]), st.integers(0, top[1]))))
+    return s, small_set(pts | {top}, top)
+
+
+@st.composite
+def _thinned_tails(draw):
+    """A tail ideal of an ambient semigroup with up to two points dropped."""
+    s = draw(st.sampled_from(_AMBIENTS))
+    small = tail_ideal(s, draw(st.sampled_from(s.small.points))).small
+    below = small.points[:-1]  # every point but the top
+    drop = draw(st.sets(st.sampled_from(below), max_size=2)) if below else set()
+    return s, small_set([p for p in small.points if p not in drop], small.top)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.one_of(_boxed_ideal_data(), _thinned_tails()))
+def test_row_kernel_reports_what_the_pair_scans_report(case):
+    s, small = case
+    assert validate_ideal_small_set(s, small) == _pair_scan_report(s, small)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodsgp import (
     DimensionMismatch,
@@ -29,9 +31,10 @@ from goodsgp import (
     small_set,
     validate_small_set,
 )
+from goodsgp import semigroup
 
 import _data as data
-from _corpus import corpus
+from _corpus import corpus, corrupt, ladder_duplication
 
 
 def _gs(rows, top):
@@ -230,3 +233,48 @@ def test_projections_of_random_instances_are_semigroups():
             pi = projection(s, i)
             seen = sorted({p[i] for p in s.small.points})
             assert all(ns_contains(pi, v) for v in seen)
+
+
+def _pair_scan_report(small):
+    """validate_small_set with the pair scans in place of the n = 2 rows."""
+    with mock.patch.object(semigroup, "_meet_violations", semigroup._meet_pair_scan), \
+            mock.patch.object(semigroup, "_sum_violations", semigroup._sum_pair_scan):
+        return validate_small_set(small)
+
+
+@st.composite
+def _boxed_subsets(draw, side=7):
+    """Any subset of a small box, plus the box's corner as its top."""
+    top = (draw(st.integers(0, side)), draw(st.integers(0, side)))
+    pts = draw(st.sets(st.tuples(st.integers(0, top[0]), st.integers(0, top[1]))))
+    return small_set(pts | {top}, top)
+
+
+@st.composite
+def _thinned_semigroups(draw):
+    """A random good semigroup with up to three small elements dropped."""
+    small = draw(st.sampled_from(corpus(517, 30, cap=10))).small
+    drop = draw(st.sets(st.sampled_from(small.points[:-1]), max_size=3))
+    return small_set([p for p in small.points if p not in drop], small.top)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
+def test_row_kernel_reports_what_the_pair_scans_report(small):
+    assert validate_small_set(small) == _pair_scan_report(small)
+
+
+@pytest.mark.parametrize("axiom", [None, "zero", "meet", "sum", "witness", "conductor"])
+@pytest.mark.parametrize("rung", [13, 31])
+def test_row_kernel_reports_what_the_pair_scans_report_on_the_ladder(rung, axiom):
+    small = ladder_duplication(rung).small
+    pts, top = small.points, small.top
+    if axiom is not None:
+        pts, top = corrupt(pts, top, axiom)
+    small = small_set(pts, top)
+    report = validate_small_set(small)
+    assert report == _pair_scan_report(small)
+    if axiom is None:
+        assert report.ok
+    else:
+        assert axiom in {v.axiom for v in report.violations}
