@@ -29,6 +29,7 @@ from .numerical import (
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
+    _meet_closed_points,
     _require_dim2,
     _small_subset,
     good_semigroup,
@@ -176,15 +177,4 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
 
 def saturation_infima_closure(s: GoodSemigroup, box) -> tuple:
     """Meet closure of the in-box saturation (meets stay inside the box)."""
-    members = set(map(tuple, arf_saturation(s, box)))
-    changed = True
-    while changed:
-        changed = False
-        pts = sorted(members)
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                m = tuple(map(min, a, b))
-                if m not in members:
-                    members.add(m)
-                    changed = True
-    return tuple(sorted(Point(p) for p in members))
+    return _meet_closed_points(arf_saturation(s, box), Point(box))

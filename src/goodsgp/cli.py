@@ -332,9 +332,9 @@ def cmd_saturate(args) -> int:
         box = Point(c + 3 for c in s.conductor)
     else:
         box = _parse_point(args.box, s.dim)
+    closure = arf_closure(s)  # n = 2 only: refuse other dimensions before the box work
     sat = arf_saturation(s, box)
     inf = [list(p) for p in saturation_infima_closure(s, box)]
-    closure = arf_closure(s)
     closure_in_box = [
         list(p)
         for p in sorted(

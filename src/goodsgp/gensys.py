@@ -25,11 +25,14 @@ __all__ = [
 ]
 
 
-def _clean_generators(gens, dim):
+def _clean_generators(gens, top):
+    """The nonzero generators as Points, for a target or conductor in N^2."""
+    if top.dim != 2:
+        raise UnsupportedDimension("closure membership is implemented for n = 2 only")
     out = []
     for g in gens:
         g = Point(g)
-        if g.dim != dim:
+        if g.dim != 2:
             raise ValueError("generator %r has wrong dimension" % (g,))
         if any(x < 0 for x in g):
             raise ValueError("generator %r has a negative coordinate" % (g,))
@@ -51,24 +54,22 @@ def monoid_fiber_reach(gens, axis: int, target) -> bool:
         raise UnsupportedDimension("fiber reachability is implemented for n = 2 only")
     if axis not in (0, 1):
         raise IndexError("axis %d out of range" % (axis,))
-    gens = _clean_generators(gens, 2)
+    return _fiber_reach(_clean_generators(gens, target), axis, target)
+
+
+def _fiber_reach(gens, axis, target) -> bool:
+    """monoid_fiber_reach on generators already cleaned."""
     j = 1 - axis
     v, w = target[axis], target[j]
     if v < 0:
         return False
     # best[u] = largest reachable coordinate on the other axis among sums
     # whose axis coordinate is exactly u, capped at w (enough for >= w)
-    best = [-1] * (v + 1)
-    best[0] = 0
+    steps = [(g[axis], g[j]) for g in gens]
+    best = [0] + [-1] * v
     for u in range(1, v + 1):
-        b = -1
-        for g in gens:
-            gu = g[axis]
-            if gu <= u and best[u - gu] >= 0:
-                cand = best[u - gu] + g[j]
-                if cand > b:
-                    b = cand
-        best[u] = min(b, w) if b >= 0 else -1
+        reach = [best[u - a] + c for a, c in steps if a <= u and best[u - a] >= 0]
+        best[u] = min(max(reach), w) if reach else -1
     return best[v] >= w
 
 
@@ -84,19 +85,15 @@ def membership_in_closure(gens, conductor, a) -> bool:
         raise ValueError("point and conductor dimensions differ")
     if any(x < 0 for x in a) or any(x > t for x, t in zip(a, d)):
         raise ValueError("point %s is outside the conductor box" % (tuple(a),))
-    if d.dim != 2:
-        raise UnsupportedDimension("closure membership is implemented for n = 2 only")
-    cleaned = _clean_generators(gens, 2)
+    return _closure_member(_clean_generators(gens, d), d, a)
+
+
+def _closure_member(gens, d, a) -> bool:
+    """membership_in_closure on generators already cleaned."""
     if tuple(a) == tuple(d):
         # reached as the truncation of any sufficiently large monoid element
-        return bool(cleaned) or not any(d)
-    return all(
-        monoid_fiber_reach(cleaned, i, a) for i in (0, 1) if a[i] != d[i]
-    )
-
-
-def _truncated_candidates(gens, top):
-    return sorted(set(meet(Point(g), top) for g in gens))
+        return bool(gens) or not any(d)
+    return all(_fiber_reach(gens, i, a) for i in (0, 1) if a[i] != d[i])
 
 
 def is_minimal_system(gens, s: GoodSemigroup) -> bool:
@@ -109,23 +106,20 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
     top = s.small.top
-    cands = _truncated_candidates(gens, top)
-    if closure_small(cands, top) != s.small:
-        raise NotAGeneratingSystem(
-            "the closure of the given set does not reproduce the semigroup"
-        )
+    cands = sorted(set(meet(Point(g), top) for g in gens))
     live = [g for g in cands if any(g)]
-    if not live and any(top):
-        # only 0 was given; the closure seeds the conductor unconditionally,
-        # but nothing here actually produces it
+    # with only 0 given the closure still seeds the conductor, but nothing
+    # here actually produces it
+    if closure_small(cands, top) != s.small or not live and any(top):
         raise NotAGeneratingSystem(
             "the closure of the given set does not reproduce the semigroup"
         )
     if len(live) < len(cands):
         return False  # contains 0, which is always removable
+    live = _clean_generators(live, top) if live else live
     for g in live:
         rest = [h for h in live if h != g]
-        if membership_in_closure(rest, top, g):
+        if _closure_member(rest, top, g):
             return False
     return True
 
@@ -150,10 +144,10 @@ def minimal_generating_system(s: GoodSemigroup, order=None) -> tuple:
             raise ValueError(
                 "order must be a permutation of the nonzero small elements"
             )
-    current = set(candidates)
+    current = set(_clean_generators(candidates, top) if candidates else ())
     for a in order:
         rest = [h for h in current if h != a]
-        if membership_in_closure(rest, top, a):
+        if _closure_member(rest, top, a):
             current.remove(a)
     return tuple(sorted(current))
 

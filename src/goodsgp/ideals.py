@@ -55,8 +55,11 @@ from .semigroup import (
     _conductor_violations,
     _coordinate_witness_violations,
     _first_missing_sum,
+    _meet_closure,
     _meet_violations,
     _require_dim2,
+    _row_points,
+    _rows,
     fiber_reaches,
     is_local,
     maximal_elements,
@@ -358,7 +361,9 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     contribute sums its small elements cannot reach.  Inside the corner box
     C(E) + C(F) the sum set is exactly the clamped sums of in box members,
     and a meet realizes each coordinate through one pair, so closing the
-    clamped sums under meets is exact there.
+    clamped sums under meets (_meet_closure) is exact there.  Each member p
+    of E shifts column x of F's box rows up by p_1 into column
+    min(p_0 + x, C_0), folding the bits from C_1 on into bit C_1.
     """
     if e.ambient != f.ambient:
         raise ValueError("ideal sum requires a common ambient semigroup")
@@ -366,30 +371,16 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     if s.dim != 2:
         raise UnsupportedDimension("ideal sums are implemented for n = 2 only")
     corner = e.small.top + f.small.top
-    emem = [
-        p
-        for p in itertools.product(range(corner[0] + 1), range(corner[1] + 1))
-        if e.small.contains(p)
-    ]
-    fmem = [
-        q
-        for q in itertools.product(range(corner[0] + 1), range(corner[1] + 1))
-        if f.small.contains(q)
-    ]
-    pts = set()
-    for p in emem:
-        for q in fmem:
-            pts.add((min(p[0] + q[0], corner[0]), min(p[1] + q[1], corner[1])))
-    work = list(pts)
-    while work:
-        a = work.pop()
-        fresh = []
-        for b in pts:
-            mpt = (min(a[0], b[0]), min(a[1], b[1]))
-            if mpt not in pts:
-                fresh.append(mpt)
-        for mpt in fresh:
-            pts.add(mpt)
-            work.append(mpt)
-
-    return _finalize_ideal(s, pts, corner)
+    c0, c1 = corner
+    below = (1 << c1) - 1
+    box = list(itertools.product(range(c0 + 1), range(c1 + 1)))
+    frows = _rows([q for q in box if f.small.contains(q)], c0)
+    fcols = [(x, r) for x, r in enumerate(frows) if r]
+    rows = [0] * (c0 + 1)
+    for p0, p1 in (p for p in box if e.small.contains(p)):
+        for x, r in fcols:
+            v = r << p1
+            if v > below:
+                v = v & below | 1 << c1
+            rows[min(p0 + x, c0)] |= v
+    return _finalize_ideal(s, _row_points(_meet_closure(rows, corner)), corner)

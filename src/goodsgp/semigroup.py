@@ -12,20 +12,20 @@ and validation checks whether that reconstruction is closed under meets and
 sums, has the coordinate witness property, and uses a minimal conductor.
 
 For n = 2 a small set is also held as bit rows (SmallSet.rows): one int per
-column x in [0, C_0], with bit y set exactly when (x, y) is a point.  The
-meet check and the truncated sum check of validate_small_set, and the meet
-and absorption checks of the ideal validator, are column scans over these
-rows instead of scans over pairs of points:
+column x in [0, C_0], with bit y set exactly when (x, y) is a point.  Meet
+closures and the meet, sum and absorption checks work on these rows:
 
-* the set is meet closed exactly when no column x has a point above a bit
-  that is missing from it but set in a column right of x;
+* each coordinate of an iterated meet in N^2 comes from one argument, so
+  column x of the meet closure is the union of the columns from x on, below
+  the highest bit of column x (_meet_closure), and a set is meet closed
+  exactly when that closure equals its rows;
 * min(a + b, C) for all b of one column x is that row shifted up by a_1,
   with every bit at or above C_1 standing for C_1, and it must lie in the
   column min(a_0 + x, C_0).
 
-Both report the same witnesses, in the same order, as the pair scans they
-replace; those pair scans remain for n != 2.  The zero, coordinate witness
-and conductor checks work on the points directly in every dimension.
+The checks report the same witnesses, in the same order, as the pair scans
+they replace; those, and a pairwise meet fixpoint, remain for n != 2.  The
+zero, witness and conductor checks work on the points in every dimension.
 """
 
 from __future__ import annotations
@@ -101,10 +101,7 @@ class SmallSet:
     def rows(self) -> tuple:
         """n = 2 only: per x in [0, top_0], the int with bit y set exactly
         when (x, y) is a point."""
-        rows = [0] * (self.top[0] + 1)
-        for x, y in self.points:
-            rows[x] |= 1 << y
-        return tuple(rows)
+        return tuple(_rows(self.points, self.top[0]))
 
     @cached_property
     def fiber_max(self) -> tuple:
@@ -206,42 +203,74 @@ def fiber_reaches(s: GoodSemigroup, axis: int, value: int, floor: int) -> bool:
     return best >= floor or best == s.small.top[1 - axis]
 
 
+def _rows(points, x_top) -> list:
+    """The bit rows of n = 2 points with first coordinate at most x_top."""
+    rows = [0] * (x_top + 1)
+    for x, y in points:
+        rows[x] |= 1 << y
+    return rows
+
+
+def _row_points(rows) -> tuple:
+    """The points of bit rows, in lexicographic order."""
+    return tuple(
+        Point((x, y)) for x, r in enumerate(rows) for y in range(r.bit_length()) if r >> y & 1
+    )
+
+
+def _meet_closure(members, top):
+    """Close members, a set inside [0, top], under componentwise minima:
+    bit rows in and out by one right to left pass for n = 2 (see the module
+    docstring), sets of tuples by the pairwise fixpoint otherwise."""
+    if len(top) == 2:
+        out, union = [], 0
+        for r in reversed(members):
+            union |= r
+            out.append(union & ((1 << r.bit_length()) - 1))
+        return out[::-1]
+    pts = new = set(members)
+    while new:
+        new = {tuple(map(min, a, b)) for a in new for b in pts} - pts
+        pts = pts | new
+    return pts
+
+
+def _meet_closed_points(points, top) -> tuple:
+    """_meet_closure of points inside [0, top], as sorted Points."""
+    if len(top) == 2:
+        return _row_points(_meet_closure(_rows(points, top[0]), top))
+    return tuple(sorted(map(Point, _meet_closure(points, top))))
+
+
 def closure_small(gens, conductor) -> SmallSet:
     """Truncated closure of the generators under sums and meets.
 
-    Returns the fixpoint of X -> X union {min(a+b, C)} union {min(a, b)}
-    seeded with {0, C} and the truncated generators.  The result is the small
-    element candidate set of the least good semigroup containing the
-    generators when one exists; validation decides that separately.
+    The least set holding {0, C} and the truncated generators and closed
+    under min(a + b, C) and min(a, b).  Truncated sums distribute over
+    meets, so it is the meet closure (_meet_closure) of the sum closure.
+    The result is the small element candidate set of the least good
+    semigroup containing the generators when one exists; validation
+    decides that separately.
     """
     top = Point(conductor)
     n = top.dim
     if any(t < 0 for t in top):
         raise ValueError("conductor must be in N^n")
-    seeds = {(0,) * n, tuple(top)}
+    pts = {(0,) * n, tuple(top)}
     for g in gens:
         g = Point(g)
         if g.dim != n:
             raise DimensionMismatch("generator %r vs conductor %r" % (g, top))
         if any(x < 0 for x in g):
             raise ValueError("generator %r has a negative coordinate" % (g,))
-        seeds.add(tuple(min(x, t) for x, t in zip(g, top)))
-    cap = tuple(top)
-    pts = set()
-    queue = list(seeds)
-    while queue:
-        p = queue.pop()
-        if p in pts:
-            continue
-        pts.add(p)
-        for q in list(pts):
-            m = tuple(map(min, p, q))
-            if m not in pts:
-                queue.append(m)
-            s = tuple(min(a + b, t) for a, b, t in zip(p, q, cap))
-            if s not in pts:
-                queue.append(s)
-    return SmallSet(tuple(sorted(Point(p) for p in pts)), top)
+        pts.add(tuple(min(x, t) for x, t in zip(g, top)))
+    new = pts
+    while new:
+        new = {
+            tuple(min(x + y, t) for x, y, t in zip(a, b, top)) for a in new for b in pts
+        } - pts
+        pts = pts | new
+    return SmallSet(_meet_closed_points(pts, top), top)
 
 
 def normalize_conductor(small: SmallSet) -> SmallSet:
@@ -385,33 +414,26 @@ def _meet_violation(a, b) -> Violation:
 def _meet_violations(small: SmallSet) -> list:
     """The first pair of points whose componentwise minimum is missing.
 
-    For n = 2 the pair a, b with a_0 < b_0 and a_1 > b_1 fails exactly when
-    (a_0, b_1) is missing: b_1 is a hole of column a_0.  The pair scan
-    reports the lexicographically first a with a failing partner, and every
-    partner of that a lies right of it, since a partner left of a would be
-    an earlier point failing with a.  So with the holes of a column taken
-    among the bits set further right, a is the lowest point above a hole in
-    the first column that has one, and b the first point right of a on a
-    hole below a_1.
+    For n = 2 the set is meet closed exactly when its meet closure equals
+    its rows.  The pair scan reports the lexicographically first failing a,
+    whose partners all lie right of it (a partner left of a would fail with
+    a earlier), so a lies in the first column a_0 the closure gains bits
+    in: a_1 is its lowest point above the lowest gained bit, and b the
+    first point right of a on a gained bit below a_1.
     """
     if small.dim != 2:
         return _meet_pair_scan(small)
     rows = small.rows
-    right = [0] * (len(rows) + 1)  # right[x]: the union of the columns from x on
-    for x in range(len(rows) - 1, -1, -1):
-        right[x] = right[x + 1] | rows[x]
-    for a0, r in enumerate(rows):
-        holes = right[a0 + 1] & ~r
-        if not holes:
+    for a0, (r, c) in enumerate(zip(rows, _meet_closure(rows, small.top))):
+        if r == c:
             continue
-        low = _low_bit(holes)
-        above = r >> low << low  # the points above the lowest hole
-        if above:
-            a1 = _low_bit(above)
-            below = holes & ((1 << a1) - 1)
-            b0 = next(x for x in range(a0 + 1, len(rows)) if rows[x] & below)
-            b1 = _low_bit(rows[b0] & below)
-            return [_meet_violation(Point((a0, a1)), Point((b0, b1)))]
+        gained = c & ~r
+        low = _low_bit(gained)
+        a1 = _low_bit(r >> low << low)
+        below = gained & ((1 << a1) - 1)
+        b0 = next(x for x in range(a0 + 1, len(rows)) if rows[x] & below)
+        b1 = _low_bit(rows[b0] & below)
+        return [_meet_violation(Point((a0, a1)), Point((b0, b1)))]
     return []
 
 

@@ -116,6 +116,21 @@ def corpus(seed, count, cap=15, local_only=True):
     return tuple(random_good_semigroup(rng, cap, local_only) for _ in range(count))
 
 
+def meet_fixpoint(points):
+    """The closure of points under componentwise minima by the pairwise
+    worklist: the reference for the library's meet closures."""
+    pts = set(map(tuple, points))
+    work = list(pts)
+    while work:
+        a = work.pop()
+        for b in list(pts):
+            m = tuple(map(min, a, b))
+            if m not in pts:
+                pts.add(m)
+                work.append(m)
+    return pts
+
+
 @lru_cache(maxsize=None)
 def ladder_duplication(rung):
     gens, e = LADDER[rung]

@@ -14,6 +14,7 @@ from goodsgp import (
     good_semigroup,
     gs_contains,
     gs_equal,
+    gs_from_generators,
     gs_subset,
     is_arf,
     is_arf_via_stability,
@@ -26,7 +27,7 @@ from goodsgp import (
 )
 
 import _data as data
-from _corpus import corpus
+from _corpus import corpus, meet_fixpoint
 
 
 def _closure_small(s):
@@ -154,3 +155,15 @@ def test_closure_levels_shrink_and_stop_at_the_input(arfex3):
     assert gs_equal(closure, levels[3])
     assert gs_subset(arfex3, levels[3])
     assert not gs_subset(arfex3, levels[4])
+
+
+def test_saturation_infima_closure_in_three_dimensions():
+    # an n = 3 closure whose in-box saturation is not meet closed
+    s = gs_from_generators([(5, 2, 2), (4, 4, 5), (1, 5, 3)], (2, 3, 4))
+    grown = 0
+    for box in [(3, 4, 5), (2, 3, 4), (4, 2, 3)]:
+        sat = arf_saturation(s, box)
+        closed = saturation_infima_closure(s, box)
+        assert sorted(map(tuple, closed)) == sorted(meet_fixpoint(sat))
+        grown += len(closed) - len(sat)
+    assert grown > 0

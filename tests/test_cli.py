@@ -24,6 +24,18 @@ def _run(capsys, args):
     return code, out.out, out.err
 
 
+# an n = 3 product: the cube {0, 2, 3, ...}^3
+_CUBE = {
+    "dim": 3,
+    "kind": "small",
+    "small": [
+        [0, 0, 0], [0, 0, 2], [0, 2, 0], [0, 2, 2],
+        [2, 0, 0], [2, 0, 2], [2, 2, 0], [2, 2, 2],
+    ],
+    "conductor": [2, 2, 2],
+}
+
+
 @pytest.fixture()
 def dup_doc(tmp_path):
     return _write(
@@ -234,6 +246,18 @@ def test_saturate(capsys, tmp_path):
     assert payload["agrees"] is True  # the infima closure restores the gap
 
 
+def test_saturate_refuses_three_dimensions_before_saturating(capsys, tmp_path, monkeypatch):
+    doc = _write(tmp_path, "cube.json", _CUBE)
+
+    def refuse(*args):
+        raise AssertionError("saturated an n = 3 semigroup")
+
+    monkeypatch.setattr(cli, "arf_saturation", refuse)
+    code, out, err = _run(capsys, ["saturate", doc])
+    assert code == 3
+    assert "n = 2" in err and out == ""
+
+
 def test_plot_ascii_to_stdout(capsys, dup_doc):
     code, out, _ = _run(capsys, ["plot", dup_doc, "--style", "ascii"])
     assert code == 0
@@ -250,19 +274,7 @@ def test_plot_svg_to_file(capsys, tmp_path, dup_doc):
 
 
 def test_plot_refuses_three_dimensions(capsys, tmp_path):
-    doc = _write(
-        tmp_path,
-        "cube.json",
-        {
-            "dim": 3,
-            "kind": "small",
-            "small": [
-                [0, 0, 0], [0, 0, 2], [0, 2, 0], [0, 2, 2],
-                [2, 0, 0], [2, 0, 2], [2, 2, 0], [2, 2, 2],
-            ],
-            "conductor": [2, 2, 2],
-        },
-    )
+    doc = _write(tmp_path, "cube.json", _CUBE)
     code, _, err = _run(capsys, ["check", doc])
     assert code == 0  # validation handles any dimension
     code, _, err = _run(capsys, ["plot", doc])

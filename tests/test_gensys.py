@@ -117,6 +117,13 @@ def test_membership_in_closure_matches_the_semigroup(dup_example):
         assert membership_in_closure(gens, top, (x, y)) == expect
 
 
+def test_membership_in_closure_of_no_generators():
+    # 0 generates nothing: only the conductor of the whole lattice is reached
+    assert not membership_in_closure([], (4, 4), (4, 4))
+    assert not membership_in_closure([(0, 0)], (4, 4), (2, 4))
+    assert membership_in_closure([(0, 0)], (0, 0), (0, 0))
+
+
 def test_membership_in_closure_rejects_points_outside_the_box():
     with pytest.raises(ValueError):
         membership_in_closure([(2, 2)], (4, 4), (5, 0))

@@ -13,9 +13,11 @@ from goodsgp import (
     NonLocalError,
     NotGoodIdeal,
     Point,
+    SmallSet,
     UnsupportedDimension,
     Violation,
     brute_canonical,
+    brute_member,
     canonical_generators,
     canonical_ideal,
     gi_contains,
@@ -26,6 +28,7 @@ from goodsgp import (
     is_stable,
     is_symmetric,
     minimal_ideal_generating_system,
+    normalize_conductor,
     ones,
     small_set,
     sum_ideals,
@@ -35,7 +38,7 @@ from goodsgp import (
 from goodsgp import ideals, semigroup
 
 import _data as data
-from _corpus import corpus, ladder_duplication
+from _corpus import corpus, ladder_duplication, meet_fixpoint
 
 
 def _shift(rows, by):
@@ -137,6 +140,56 @@ def test_sum_of_principal_ideals_is_principal(dup_example):
     direct = gi_from_generators(dup_example, [(h[0] + k[0], h[1] + k[1])])
     assert total.small.points == direct.small.points
     assert total.small.top == direct.small.top
+
+
+def _brute_sum(e, f):
+    """The sum data by its definition: clamped sums of every pair of box
+    members, closed under meets, then normalized and validated."""
+    corner = tuple(a + b for a, b in zip(e.small.top, f.small.top))
+    box = list(itertools.product(range(corner[0] + 1), range(corner[1] + 1)))
+    emem = [p for p in box if brute_member(e.small.points, e.small.top, p)]
+    fmem = [q for q in box if brute_member(f.small.points, f.small.top, q)]
+    sums = {tuple(min(a + b, c) for a, b, c in zip(p, q, corner)) for p in emem for q in fmem}
+    pts = meet_fixpoint(sums)
+    small = normalize_conductor(SmallSet(tuple(sorted(map(Point, pts))), Point(corner)))
+    return small, validate_ideal_small_set(e.ambient, small)
+
+
+def _sum_outcome(e, f):
+    try:
+        total = sum_ideals(e, f)
+    except NotGoodIdeal as err:
+        return err.small, err.report
+    return total.small, validate_ideal_small_set(total.ambient, total.small)
+
+
+def test_sum_ideals_matches_the_brute_sum_on_random_instances():
+    rng = random.Random(6320)
+    outcomes = set()
+    for s in corpus(519, 12, cap=9):
+        pts = s.small.points
+        principal = [gi_from_generators(s, [rng.choice(pts)]) for _ in range(2)]
+        tails = [tail_ideal(s, rng.choice(pts)) for _ in range(2)]
+        for e, f in [principal, tails, (tails[0], tails[0]), (principal[0], tails[1])]:
+            got = _sum_outcome(e, f)
+            assert got == _brute_sum(e, f)
+            outcomes.add(got[1].ok)
+    # tail sums can fail: normalize_conductor on data that is not good can
+    # leave a conductor that is not minimal, and sum_ideals reports it
+    assert outcomes == {True, False}
+
+
+def test_doubled_tail_with_a_loose_conductor_is_reported():
+    # normalize_conductor is not idempotent on data that is not good: the
+    # doubled tail normalizes to the top (36, 31), which still lowers on axis 0
+    t = tail_ideal(ladder_duplication(31), (15, 14))
+    with pytest.raises(NotGoodIdeal) as err:
+        sum_ideals(t, t)
+    assert err.value.small.top == (36, 31)
+    assert [(v.axiom, v.axis, v.witness) for v in err.value.report.violations] == [
+        ("conductor", 0, ((35, 31),))
+    ]
+    assert normalize_conductor(err.value.small).top == (34, 31)
 
 
 def test_doubled_tail_and_stability(dup_example):

@@ -7,6 +7,8 @@ import itertools
 import pathlib
 import random
 
+from hypothesis import given, settings, strategies as st
+
 import goodsgp
 from goodsgp import (
     Point,
@@ -59,6 +61,24 @@ def test_brute_closure_matches_on_random_generator_sets():
         fast = closure_small(gens, top)
         slow = brute_closure(gens, top)
         assert fast.points == slow.points
+
+
+@st.composite
+def _generator_sets(draw):
+    """Generators and a conductor drawn per axis, so rarely square, in N^2
+    and N^3; generators may lie past the conductor or on an axis."""
+    n = draw(st.sampled_from((2, 3)))
+    cap = 12 if n == 2 else 4
+    top = tuple(draw(st.integers(0, cap)) for _ in range(n))
+    point = st.tuples(*[st.integers(0, cap + 2)] * n)
+    return draw(st.lists(point, max_size=4)), top
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_generator_sets())
+def test_closure_small_matches_brute_closure_in_two_and_three_dimensions(case):
+    gens, top = case
+    assert closure_small(gens, top) == brute_closure(gens, top)
 
 
 def test_brute_canonical_on_the_symmetric_example(dup35):

@@ -34,7 +34,7 @@ from goodsgp import (
 from goodsgp import semigroup
 
 import _data as data
-from _corpus import corpus, corrupt, ladder_duplication
+from _corpus import corpus, corrupt, ladder_duplication, meet_fixpoint
 
 
 def _gs(rows, top):
@@ -278,3 +278,16 @@ def test_row_kernel_reports_what_the_pair_scans_report_on_the_ladder(rung, axiom
         assert report.ok
     else:
         assert axiom in {v.axiom for v in report.violations}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
+def test_meet_closure_matches_the_pairwise_fixpoint(small):
+    pts = meet_fixpoint(small.points)
+    rows = semigroup._meet_closure(small.rows, small.top)
+    assert rows == list(small_set(pts, small.top).rows)
+    # the same set lifted into N^3 goes through the general fixpoint
+    lifted = {tuple(p) + (0,) for p in small.points}
+    assert semigroup._meet_closure(lifted, tuple(small.top) + (0,)) == {
+        p + (0,) for p in pts
+    }
