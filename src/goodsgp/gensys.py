@@ -1,20 +1,37 @@
 """Minimal good generating systems for local good semigroups and their ideals.
 
 A set G generates S when the closure of G under truncated sums and meets
-equals Small(S).  Removability of a single generator reduces, through the
-truncated-closure membership lemma, to axis fiber reachability questions
-about the plain (untruncated) monoid generated by the rest, which is a small
-unbounded-knapsack computation.  Elements of the unique minimal system are
-never removable, and everything else always is, so one elimination pass in
-any order reaches the same answer.
+equals Small(S).  Minimal systems of a local semigroup, and of a good ideal
+of one, are unique, so a candidate belongs to the minimal system exactly
+when it is not in the closure of all the other candidates: the rule is
+applied once per candidate, and no order of elimination can matter.
+
+By the truncated-closure membership lemma, a is in the closure of G when on
+every axis i with a_i below the conductor some sum of elements of G has
+exactly a_i on axis i and at least a_j on the other; any nonempty G reaches
+the conductor.  One knapsack table per axis over all of G answers every
+such question (_reach).  Candidates are positive on both axes, so no sum of
+two or more that uses a lands on the fiber of a: on axis i the others
+generate a exactly when a sum of two or more candidates, or another
+candidate above a on its fiber, reaches it.
+
+Ideals use clamped membership, which below the corner min(H) + C(S) has a
+direct characterization: p belongs exactly when, for every axis i with p_i
+below the corner, some generator h admits a member x of S with
+x_i = p_i - h_i and x_j >= p_j - h_j elsewhere.  Sufficiency: such
+witnesses dominate p, agree with it on their axis, and meet to p inside the
+cone of the corner.  Necessity: members are meets of points of H + S, and a
+meet realizes each coordinate through one of its arguments.  On the border
+the floor test absorbs the clamp.
 """
 
 from __future__ import annotations
 
-from .errors import NonLocalError, NotAGeneratingSystem, UnsupportedDimension
-from .ideals import _ideal_closure_member
+from .errors import (
+    DimensionMismatch, NonLocalError, NotAGeneratingSystem, UnsupportedDimension
+)
 from .lattice import Point, meet
-from .semigroup import GoodSemigroup, closure_small, is_local
+from .semigroup import GoodSemigroup, closure_small, fiber_reaches, is_local
 
 __all__ = [
     "monoid_fiber_reach",
@@ -33,7 +50,7 @@ def _clean_generators(gens, top):
     for g in gens:
         g = Point(g)
         if g.dim != 2:
-            raise ValueError("generator %r has wrong dimension" % (g,))
+            raise DimensionMismatch("generator %r has wrong dimension" % (g,))
         if any(x < 0 for x in g):
             raise ValueError("generator %r has a negative coordinate" % (g,))
         if not any(g):
@@ -46,6 +63,35 @@ def _clean_generators(gens, top):
     return out
 
 
+def _reach(gens, axis, last, cap):
+    """The reach table (some, two, high) of clean generators on one axis.
+
+    some[u] and two[u], for u in [0, last], are the largest other-axis
+    coordinate, capped at cap >= 0, of the sums with axis coordinate u of
+    any number of generators (the empty sum is 0) and of two or more; -1
+    when there is none.  high maps each axis value of the generators to
+    their largest other coordinate, the one step of that value that counts.
+    """
+    j = 1 - axis
+    high = {}
+    for g in gens:
+        if g[j] > high.get(g[axis], -1):
+            high[g[axis]] = g[j]
+    steps = sorted(high.items())
+    some = [0] + [-1] * last
+    two = [-1] * (last + 1)
+    for u in range(1, last + 1):
+        best = -1
+        for a, c in steps:
+            if a >= u:
+                break
+            if some[u - a] >= 0:
+                best = max(best, some[u - a] + c)
+        two[u] = min(best, cap)
+        some[u] = min(max(best, high.get(u, -1)), cap)
+    return some, two, high
+
+
 def monoid_fiber_reach(gens, axis: int, target) -> bool:
     """Can a sum of generators hit target[axis] exactly while reaching at
     least target on the other axis?  n = 2, all generators off the axes."""
@@ -54,23 +100,9 @@ def monoid_fiber_reach(gens, axis: int, target) -> bool:
         raise UnsupportedDimension("fiber reachability is implemented for n = 2 only")
     if axis not in (0, 1):
         raise IndexError("axis %d out of range" % (axis,))
-    return _fiber_reach(_clean_generators(gens, target), axis, target)
-
-
-def _fiber_reach(gens, axis, target) -> bool:
-    """monoid_fiber_reach on generators already cleaned."""
-    j = 1 - axis
-    v, w = target[axis], target[j]
-    if v < 0:
-        return False
-    # best[u] = largest reachable coordinate on the other axis among sums
-    # whose axis coordinate is exactly u, capped at w (enough for >= w)
-    steps = [(g[axis], g[j]) for g in gens]
-    best = [0] + [-1] * v
-    for u in range(1, v + 1):
-        reach = [best[u - a] + c for a, c in steps if a <= u and best[u - a] >= 0]
-        best[u] = min(max(reach), w) if reach else -1
-    return best[v] >= w
+    gens = _clean_generators(gens, target)
+    v, w = target[axis], target[1 - axis]
+    return v >= 0 and _reach(gens, axis, v, max(w, 0))[0][v] >= w
 
 
 def membership_in_closure(gens, conductor, a) -> bool:
@@ -82,18 +114,31 @@ def membership_in_closure(gens, conductor, a) -> bool:
     d = Point(conductor)
     a = Point(a)
     if a.dim != d.dim:
-        raise ValueError("point and conductor dimensions differ")
+        raise DimensionMismatch("point and conductor dimensions differ")
     if any(x < 0 for x in a) or any(x > t for x, t in zip(a, d)):
         raise ValueError("point %s is outside the conductor box" % (tuple(a),))
-    return _closure_member(_clean_generators(gens, d), d, a)
-
-
-def _closure_member(gens, d, a) -> bool:
-    """membership_in_closure on generators already cleaned."""
-    if tuple(a) == tuple(d):
-        # reached as the truncation of any sufficiently large monoid element
+    gens = _clean_generators(gens, d)
+    if a == d:
         return bool(gens) or not any(d)
-    return all(_fiber_reach(gens, i, a) for i in (0, 1) if a[i] != d[i])
+    return all(
+        _reach(gens, i, d[i] - 1, d[1 - i])[0][a[i]] >= a[1 - i]
+        for i in (0, 1) if a[i] != d[i]
+    )
+
+
+def _removable(gens, top) -> list:
+    """Per clean generator, distinct and inside [0, top], whether it lies in
+    the closure of the others truncated at top (see the module docstring)."""
+    if len(gens) < 2:
+        return [False] * len(gens)  # the closure of nothing has no point
+    tables = [_reach(gens, i, top[i] - 1, top[1 - i])[1:] for i in (0, 1)]
+    return [
+        a == top or all(
+            two[a[i]] >= a[1 - i] or high[a[i]] > a[1 - i]
+            for i, (two, high) in enumerate(tables) if a[i] < top[i]
+        )
+        for a in gens
+    ]
 
 
 def is_minimal_system(gens, s: GoodSemigroup) -> bool:
@@ -117,39 +162,31 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
     if len(live) < len(cands):
         return False  # contains 0, which is always removable
     live = _clean_generators(live, top) if live else live
-    for g in live:
-        rest = [h for h in live if h != g]
-        if _closure_member(rest, top, g):
-            return False
-    return True
+    return not any(_removable(live, top))
 
 
-def minimal_generating_system(s: GoodSemigroup, order=None) -> tuple:
-    """The unique minimal good generating system of a local good semigroup.
-
-    Starts from the nonzero small elements and removes, one at a time, any
-    element contained in the truncated closure of the others.  The order
-    parameter (a permutation of those candidates) only changes the order of
-    the scan, never the result; the default is lexicographic.
-    """
+def minimal_generating_system(s: GoodSemigroup) -> tuple:
+    """The unique minimal good generating system of a local good semigroup:
+    the nonzero small elements outside the truncated closure of the other
+    nonzero small elements, in lexicographic order."""
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
     top = s.small.top
-    candidates = [p for p in s.small.points if any(p)]
-    if order is None:
-        order = list(candidates)
-    else:
-        order = [Point(p) for p in order]
-        if sorted(order) != candidates:
-            raise ValueError(
-                "order must be a permutation of the nonzero small elements"
-            )
-    current = set(_clean_generators(candidates, top) if candidates else ())
-    for a in order:
-        rest = [h for h in current if h != a]
-        if _closure_member(rest, top, a):
-            current.remove(a)
-    return tuple(sorted(current))
+    cands = [p for p in s.small.points if any(p)]
+    cands = _clean_generators(cands, top) if cands else cands
+    return tuple(a for a, out in zip(cands, _removable(cands, top)) if not out)
+
+
+def _ideal_removable(s: GoodSemigroup, cands, corner, p) -> bool:
+    """Does p lie in the clamp into [0, corner] of the meet closure of
+    H + S, for H the candidates other than p?  By the witness
+    characterization of the module docstring, each axis below the corner
+    needs an h in H and an ambient member x with x_i = p_i - h_i and
+    x_j >= p_j - h_j, and pinned axes need none.  n = 2 only."""
+    return len(cands) > 1 and all(
+        any(fiber_reaches(s, i, p[i] - h[i], p[1 - i] - h[1 - i]) for h in cands if h != p)
+        for i in (0, 1) if p[i] != corner[i]
+    )
 
 
 def minimal_ideal_generating_system(e) -> tuple:
@@ -157,18 +194,13 @@ def minimal_ideal_generating_system(e) -> tuple:
 
     e provides .ambient (a local GoodSemigroup) and .small; generation means
     the meet closure of gens + ambient, truncated at the ideal conductor,
-    equals Small(e).  Same elimination scheme as for semigroups.
+    equals Small(e).  The system is the points of Small(e) outside the
+    clamped closure of the other points, in lexicographic order.
     """
     s = e.ambient
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local ambient")
     if s.dim != 2:
         raise UnsupportedDimension("ideal generating systems are implemented for n = 2 only")
-    top = e.small.top
-    candidates = list(e.small.points)
-    current = set(candidates)
-    for a in candidates:
-        rest = [h for h in current if h != a]
-        if _ideal_closure_member(s, rest, top, a):
-            current.remove(a)
-    return tuple(sorted(current))
+    pts, top = e.small.points, e.small.top
+    return tuple(p for p in pts if not _ideal_removable(s, pts, top, p))

@@ -18,16 +18,15 @@ authoritative: it can be a strict superset of [H], because a clamped point
 sitting on the border of the box emits a ray whether or not the fiber of
 [H] through it climbs forever.
 
-Clamped membership below the corner min(H) + C(S) has a direct
-characterization: p belongs exactly when, for every axis i with p_i below
-the corner, some generator h admits a member x of S with x_i = p_i - h_i
-and x_j >= p_j - h_j elsewhere.  Sufficiency: such witnesses dominate p,
-agree with it on their axis, and meet to p inside the cone of the corner.
-Necessity: members are meets of points of H + S, and a meet realizes each
-coordinate through one of its arguments.  On the border the floor test
-absorbs the clamp.  Finalization lowers the corner to the minimal
-conductor of the data and validates the ideal axioms; failures raise
-NotGoodIdeal with a witness report.
+Clamping into a box is a lattice map for meets, so the clamp of [H] is the
+meet closure of the clamped sums min(h + q, corner) over h in H and the
+members q of S in the box (members beyond the box clamp onto box members,
+since the corner is at least C(S)).  The sum of two ideals is the same
+construction with the members of one ideal as H and the other ideal in
+place of S.  Both run through one bit-row routine (_clamped_sum_ideal),
+which then lowers the corner to the minimal conductor of the data and
+validates the ideal axioms; failures raise NotGoodIdeal with a witness
+report.
 
 The canonical ideal is not generated but read off its definition: the
 points a of [0, C(S)] such that no member of S shares a coordinate with
@@ -132,12 +131,11 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
     return ValidationReport(not violations, tuple(violations))
 
 
-def _ambient_members(ambient: GoodSemigroup, small: SmallSet):
-    """Ambient members of the box up to the join of both conductors, in
+def _box_members(small: SmallSet, bound):
+    """Members of the set small describes inside the box [0, bound], in
     itertools.product order."""
-    bound = join(small.top, ambient.small.top)
     for q in itertools.product(*(range(b + 1) for b in bound)):
-        if ambient.small.contains(q):
+        if small.contains(q):
             yield q
 
 
@@ -151,11 +149,13 @@ def _absorption_violation(e, q) -> Violation:
 
 
 def _absorption_violations(ambient: GoodSemigroup, small: SmallSet) -> list:
-    """The first ambient member q, and then point e of the data, whose
-    clamped sum is missing from the data."""
+    """The first ambient member q of the box up to the join of both
+    conductors, and then point e of the data, whose clamped sum is missing
+    from the data."""
     if small.dim != 2:
         return _absorption_pair_scan(ambient, small)
-    pair = _first_missing_sum(small, _ambient_members(ambient, small))
+    members = _box_members(ambient.small, join(small.top, ambient.small.top))
+    pair = _first_missing_sum(small, members)
     return [] if pair is None else [_absorption_violation(pair[1], pair[0])]
 
 
@@ -163,7 +163,7 @@ def _absorption_pair_scan(ambient: GoodSemigroup, small: SmallSet) -> list:
     """_absorption_violations by the scan over every member and point."""
     pset = small.point_set
     top = tuple(small.top)
-    for q in _ambient_members(ambient, small):
+    for q in _box_members(ambient.small, join(small.top, ambient.small.top)):
         for e in small.points:
             if tuple(min(x + y, c) for x, y, c in zip(e, q, top)) not in pset:
                 return [_absorption_violation(e, q)]
@@ -183,52 +183,27 @@ def gi_contains(e: GoodRelativeIdeal, p) -> bool:
     return e.small.contains(tuple(p))
 
 
-def _finalize_ideal(s: GoodSemigroup, pts_set, corner: Point) -> GoodRelativeIdeal:
-    """Wrap exact clamped data: normalize the conductor, then validate.
+def _clamped_sum_ideal(s: GoodSemigroup, addends, small, corner) -> GoodRelativeIdeal:
+    """The ideal whose data is the meet closure of min(p + q, corner) over
+    the addends p and the members q of small in the box [0, corner], with
+    its corner lowered to the minimal conductor and validated.  n = 2 only.
 
-    pts_set must be exactly the clamp into [0, corner] of a meet closed,
-    ambient absorbing set whose conductor is at most corner.  The corner is
-    lowered to the minimal conductor of the data and the result validated;
-    bad data raises NotGoodIdeal.
+    Each addend p shifts column x of the box rows of small up by p_1 into
+    column min(p_0 + x, corner_0), folding the bits from corner_1 on into
+    bit corner_1, and _meet_closure closes the resulting rows.
     """
-    data = tuple(sorted(Point(p) for p in pts_set))
-    small = normalize_conductor(SmallSet(data, corner))
-    return good_ideal(s, small)
-
-
-def _ideal_closure_member(s: GoodSemigroup, gens, corner, p) -> bool:
-    """Does the box point p lie in the clamp of [gens] into [0, corner]?
-
-    [gens] is the meet closure of gens + S, and empty when gens is.  The
-    test is the per axis witness characterization of the module docstring:
-    axes below the corner need a generator h and an ambient member x with
-    x_i = p_i - h_i and x_j >= p_j - h_j; axes pinned at the corner need
-    none, which is what absorbs the clamp.  n = 2 only.
-    """
-    if not gens:
-        return False
-    for i in (0, 1):
-        if p[i] == corner[i]:
-            continue
-        j = 1 - i
-        if not any(fiber_reaches(s, i, p[i] - h[i], p[j] - h[j]) for h in gens):
-            return False
-    return True
-
-
-def _clamped_closure_points(s: GoodSemigroup, gens, corner: Point) -> set:
-    """Points of the box [0, corner] lying in the clamp of [gens] there.
-
-    Generators past corner + 1 on an axis act exactly like their clamp
-    there, so they are deduplicated after clamping.
-    """
-    cap = corner + ones(2)
-    cands = sorted(set(meet(h, cap) for h in gens))
-    return {
-        p
-        for p in itertools.product(range(corner[0] + 1), range(corner[1] + 1))
-        if _ideal_closure_member(s, cands, corner, p)
-    }
+    c0, c1 = corner
+    below = (1 << c1) - 1
+    cols = [(x, r) for x, r in enumerate(_rows(_box_members(small, corner), c0)) if r]
+    rows = [0] * (c0 + 1)
+    for p0, p1 in addends:
+        for x, r in cols:
+            v = r << p1
+            if v > below:
+                v = v & below | 1 << c1
+            rows[min(p0 + x, c0)] |= v
+    data = SmallSet(_row_points(_meet_closure(rows, corner)), corner)
+    return good_ideal(s, normalize_conductor(data))
 
 
 def _check_ideal_generators(s: GoodSemigroup, hgens) -> list:
@@ -250,8 +225,9 @@ def gi_from_generators(s: GoodSemigroup, hgens) -> GoodRelativeIdeal:
 
     The small data is the clamp, into the corner box min(H) + C(S), of the
     smallest set containing every generator plus an ambient member and
-    closed under componentwise minima; the corner is then lowered while the
-    data between it and the old corner stays complete, and the result
+    closed under componentwise minima, by the row closure sum_ideals also
+    uses (_clamped_sum_ideal); the corner is then lowered while the data
+    between it and the old corner stays complete, and the result
     validated.  The corner is the natural conductor bound of the closure,
     and for a principal generator, for generators containing zero, and for
     the canonical families it is the exact conductor.  The clamp can fail
@@ -261,8 +237,7 @@ def gi_from_generators(s: GoodSemigroup, hgens) -> GoodRelativeIdeal:
     """
     gens = _check_ideal_generators(s, hgens)
     corner = reduce(meet, gens) + s.small.top
-    pts_set = _clamped_closure_points(s, gens, corner)
-    return _finalize_ideal(s, pts_set, corner)
+    return _clamped_sum_ideal(s, gens, s.small, corner)
 
 
 def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
@@ -360,10 +335,9 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     Full members matter, not just small elements: rays of a factor
     contribute sums its small elements cannot reach.  Inside the corner box
     C(E) + C(F) the sum set is exactly the clamped sums of in box members,
-    and a meet realizes each coordinate through one pair, so closing the
-    clamped sums under meets (_meet_closure) is exact there.  Each member p
-    of E shifts column x of F's box rows up by p_1 into column
-    min(p_0 + x, C_0), folding the bits from C_1 on into bit C_1.
+    and a meet realizes each coordinate through one pair, so the data is
+    the row closure _clamped_sum_ideal of E's box members over F, the one
+    gi_from_generators also uses.
     """
     if e.ambient != f.ambient:
         raise ValueError("ideal sum requires a common ambient semigroup")
@@ -371,16 +345,4 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     if s.dim != 2:
         raise UnsupportedDimension("ideal sums are implemented for n = 2 only")
     corner = e.small.top + f.small.top
-    c0, c1 = corner
-    below = (1 << c1) - 1
-    box = list(itertools.product(range(c0 + 1), range(c1 + 1)))
-    frows = _rows([q for q in box if f.small.contains(q)], c0)
-    fcols = [(x, r) for x, r in enumerate(frows) if r]
-    rows = [0] * (c0 + 1)
-    for p0, p1 in (p for p in box if e.small.contains(p)):
-        for x, r in fcols:
-            v = r << p1
-            if v > below:
-                v = v & below | 1 << c1
-            rows[min(p0 + x, c0)] |= v
-    return _finalize_ideal(s, _row_points(_meet_closure(rows, corner)), corner)
+    return _clamped_sum_ideal(s, _box_members(e.small, corner), f.small, corner)

@@ -23,6 +23,7 @@ from goodsgp import (
     good_semigroup,
     ideal_from_generators,
     is_local,
+    membership_in_closure,
     normalize_conductor,
     ns_from_generators,
 )
@@ -129,6 +130,28 @@ def meet_fixpoint(points):
                 pts.add(m)
                 work.append(m)
     return pts
+
+
+def sequential_elimination(order, generated):
+    """The elimination that the uniqueness of minimal systems makes order
+    free: walk the candidates in the given order and drop each one that
+    generated(rest, a) finds in the closure of those still kept."""
+    kept = list(order)
+    for a in order:
+        rest = [h for h in kept if h != a]
+        if generated(rest, a):
+            kept = rest
+    return tuple(sorted(kept))
+
+
+def shuffled_eliminations(s, rng, times):
+    """sequential_elimination of the nonzero small elements of s in `times`
+    shuffled orders, by the public truncated closure membership test."""
+    top = s.small.top
+    cands = [p for p in s.small.points if any(p)]
+    for _ in range(times):
+        order = rng.sample(cands, len(cands))
+        yield sequential_elimination(order, lambda rest, a: membership_in_closure(rest, top, a))
 
 
 @lru_cache(maxsize=None)

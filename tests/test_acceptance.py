@@ -44,7 +44,7 @@ from goodsgp import (
 )
 
 import _data as data
-from _corpus import corpus
+from _corpus import corpus, shuffled_eliminations
 
 
 def _verdict(number, ok, note=""):
@@ -121,11 +121,8 @@ def test_criterion_06_uniqueness_of_minimal_systems():
     failures = 0
     for s in corpus(20260816, 200, cap=15):
         base = minimal_generating_system(s)
-        candidates = [p for p in s.small.points if any(p)]
-        for _ in range(10):
-            order = list(candidates)
-            rng.shuffle(order)
-            if minimal_generating_system(s, order=order) != base:
+        for eliminated in shuffled_eliminations(s, rng, 10):
+            if eliminated != base:
                 failures += 1
         regenerated = normalize_conductor(closure_small(list(base), s.small.top))
         if regenerated.points != s.small.points:

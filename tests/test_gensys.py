@@ -8,6 +8,7 @@ import random
 import pytest
 
 from goodsgp import (
+    DimensionMismatch,
     NonLocalError,
     NotAGeneratingSystem,
     Point,
@@ -20,13 +21,15 @@ from goodsgp import (
     minimal_generating_system,
     monoid_fiber_reach,
     normalize_conductor,
+    good_semigroup,
+    gi_from_generators,
     small_set,
     tail_ideal,
     minimal_ideal_generating_system,
 )
 
 import _data as data
-from _corpus import corpus
+from _corpus import corpus, sequential_elimination, shuffled_eliminations
 
 
 def test_minimal_system_of_the_duplication_example(dup_example):
@@ -69,16 +72,8 @@ def test_regeneration_from_the_minimal_system(dup_example, amalgam_example, maxi
 def test_elimination_order_does_not_change_the_result(dup_example):
     rng = random.Random(731)
     base = minimal_generating_system(dup_example)
-    candidates = [p for p in dup_example.small.points if any(p)]
-    for _ in range(10):
-        order = list(candidates)
-        rng.shuffle(order)
-        assert minimal_generating_system(dup_example, order=order) == base
-
-
-def test_order_must_be_a_permutation(dup_example):
-    with pytest.raises(ValueError):
-        minimal_generating_system(dup_example, order=[(2, 2)])
+    for eliminated in shuffled_eliminations(dup_example, rng, 10):
+        assert eliminated == base
 
 
 def test_non_local_semigroups_are_refused(product_nonlocal):
@@ -97,6 +92,16 @@ def test_non_generating_sets_are_reported(dup_example):
 
 def test_systems_containing_zero_are_never_minimal(dup_example):
     gens = [(0, 0)] + data.DUP_MINGENS
+    assert is_minimal_system(gens, dup_example) is False
+
+
+def test_the_conductor_is_removable_only_beside_another_candidate(dup_example):
+    # the conductor is the truncation of any large sum, so it is generated
+    # by every nonempty set of other candidates, and by nothing else
+    s = good_semigroup(small_set([(0, 0), (1, 1)], (1, 1)))
+    assert minimal_generating_system(s) == ((1, 1),)
+    assert is_minimal_system([(1, 1)], s) is True
+    gens = data.DUP_MINGENS + [list(dup_example.small.top)]
     assert is_minimal_system(gens, dup_example) is False
 
 
@@ -129,6 +134,15 @@ def test_membership_in_closure_rejects_points_outside_the_box():
         membership_in_closure([(2, 2)], (4, 4), (5, 0))
     with pytest.raises(ValueError):
         membership_in_closure([(2, 2)], (4, 4), (-1, 0))
+
+
+def test_dimension_errors_are_dimension_mismatches():
+    with pytest.raises(DimensionMismatch):
+        membership_in_closure([(2, 2)], (4, 4), (1, 1, 1))
+    with pytest.raises(DimensionMismatch):
+        membership_in_closure([(2, 2, 2)], (4, 4), (1, 1))
+    with pytest.raises(DimensionMismatch):
+        monoid_fiber_reach([(2, 2, 2)], 0, (4, 4))
 
 
 def test_both_product_systems_regenerate_the_product(product_nonlocal):
@@ -183,10 +197,24 @@ def test_random_minimal_systems_are_stable_under_reordering():
     rng = random.Random(6102)
     for s in corpus(514, 25, cap=13):
         base = minimal_generating_system(s)
-        candidates = [p for p in s.small.points if any(p)]
-        for _ in range(3):
-            order = list(candidates)
-            rng.shuffle(order)
-            assert minimal_generating_system(s, order=order) == base
+        for eliminated in shuffled_eliminations(s, rng, 3):
+            assert eliminated == base
         small = normalize_conductor(closure_small(list(base), s.small.top))
         assert small.points == s.small.points
+
+
+def test_random_minimal_ideal_systems_are_stable_under_reordering():
+    # tails and principal ideals, against an elimination by the brute
+    # closure in shuffled orders
+    rng = random.Random(4417)
+    for s in corpus(8812, 8, cap=10):
+        a, m = rng.sample(s.small.points, 2)
+        for e in (tail_ideal(s, a), gi_from_generators(s, [m])):
+            top = e.small.top
+            base = minimal_ideal_generating_system(e)
+            for _ in range(2):
+                order = rng.sample(e.small.points, len(e.small.points))
+                eliminated = sequential_elimination(
+                    order, lambda rest, p: p in _ideal_closure_points(rest, s, top)
+                )
+                assert eliminated == base
