@@ -16,7 +16,6 @@ from .arf import (
     arf_saturation,
     build_chain_level,
     is_arf,
-    is_arf_via_stability,
     saturation_infima_closure,
 )
 from .constructions import amalgamation, cartesian, duplication, from_maximal_elements
@@ -170,7 +169,6 @@ __all__ = [
     "sum_ideals",
     # arf
     "is_arf",
-    "is_arf_via_stability",
     "build_chain_level",
     "arf_closure",
     "arf_saturation",

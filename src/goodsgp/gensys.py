@@ -101,8 +101,10 @@ def monoid_fiber_reach(gens, axis: int, target) -> bool:
     if axis not in (0, 1):
         raise IndexError("axis %d out of range" % (axis,))
     gens = _clean_generators(gens, target)
-    v, w = target[axis], target[1 - axis]
-    return v >= 0 and _reach(gens, axis, v, max(w, 0))[0][v] >= w
+    v, w = target[axis], max(target[1 - axis], 0)
+    # the table reads -1 where no sum hits v, so a negative floor must not
+    # be compared against it
+    return v >= 0 and _reach(gens, axis, v, w)[0][v] >= w
 
 
 def membership_in_closure(gens, conductor, a) -> bool:

@@ -254,26 +254,20 @@ def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
     return good_ideal(s, SmallSet(pts, top))
 
 
-def _tail_small_points(s: GoodSemigroup, m) -> list:
-    # small elements of the tail at a small element m; its conductor is the
-    # ambient one, so no rescan of the box is needed
-    return [p for p in s.small.points if geq(p, m)]
+def is_stable(e: GoodRelativeIdeal) -> bool:
+    """Is E + E = min(E) + E?
 
-
-def _stable_from_data(pts, m, contains) -> bool:
-    # e1 + e2 - m over small pairs decides stability: any larger pair clamps
-    # to a small pair with the same membership outcome
+    e1 + e2 - min(E) over small pairs decides it: any larger pair clamps to
+    a small pair with the same membership outcome.
+    """
+    pts = e.small.points
+    m = e.min_element
+    contains = e.small.contains
     for idx, a in enumerate(pts):
         for b in pts[idx:]:
-            q = tuple(x + y - z for x, y, z in zip(a, b, m))
-            if not contains(q):
+            if not contains(tuple(x + y - z for x, y, z in zip(a, b, m))):
                 return False
     return True
-
-
-def is_stable(e: GoodRelativeIdeal) -> bool:
-    """Is E + E = min(E) + E?"""
-    return _stable_from_data(e.small.points, e.min_element, e.small.contains)
 
 
 def canonical_generators(s: GoodSemigroup) -> tuple:

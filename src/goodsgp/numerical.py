@@ -3,6 +3,17 @@
 Everything here is finite data: a semigroup is stored as its conductor plus
 the members below it, an ideal likewise.  These are the one dimensional
 building blocks for the product constructions and the Arf closure chain.
+
+Each quantity has one route.  The conductor is one scan down from a bound
+past which everything is a member (_conductor).  Minimal generators of an
+ideal E of S are E minus E + (S minus 0), and a semigroup's are the same
+rule for E = S minus 0 (_minimal_generators).  Every ideal is built from a
+member test and such a bound (_ideal).  The Arf closure follows the
+multiplicity recursion of Rosales, García-Sánchez, García-García and Branco
+("Arf numerical semigroups", J. Algebra 276, 2004): with multiplicity m,
+Arf(<m, n_2, ..., n_e>) = {0} u (m + Arf(<m, n_2 - m, ..., n_e - m>)) and
+Arf(N) = N, so its members below the conductor are the partial sums of the
+successive multiplicities.  A semigroup is Arf when it equals its closure.
 """
 
 from __future__ import annotations
@@ -80,17 +91,41 @@ def ideal_contains(e: NumericalIdeal, x: int) -> bool:
     return x >= e.conductor or x in e._members
 
 
-def _minimal_generators(member, conductor, multiplicity):
-    # Every minimal generator is below conductor + multiplicity: anything
-    # larger splits off one copy of the multiplicity.
-    gens = []
-    for v in range(1, conductor + multiplicity + 1):
+def _conductor(member, bound) -> int:
+    """One past the last non-member in [0, bound], or 0 when there is none;
+    every value past bound must be a member."""
+    for v in range(bound, -1, -1):
         if not member(v):
-            continue
-        if any(member(w) and member(v - w) for w in range(1, v)):
-            continue
-        gens.append(v)
+            return v + 1
+    return 0
+
+
+def _minimal_generators(member, bound, ambient) -> tuple:
+    """E minus E + (S minus 0) for the set E that member tests and the
+    semigroup S that ambient tests, scanned over [0, bound].
+
+    The bound must be at least conductor(E) + multiplicity(S): anything
+    larger splits off one copy of the multiplicity.  Since E = gens + S, a
+    member v = w + x with x in S minus 0 also has v - g in S minus 0 for the
+    generator g below w, so only the generators found so far are tried.
+    """
+    gens = []
+    for v in range(bound + 1):
+        if member(v) and not any(ambient(v - g) for g in gens):
+            gens.append(v)
     return tuple(gens)
+
+
+def _ideal(s: NumericalSemigroup, member, bound) -> NumericalIdeal:
+    """The ideal of s that member tests, every value past bound a member."""
+    conductor = _conductor(member, bound)
+    small = {v for v in range(conductor + 1) if member(v)}
+
+    def inside(v):
+        return v >= conductor or v in small
+
+    gens = _minimal_generators(inside, conductor + ns_multiplicity(s), s.__contains__)
+    return NumericalIdeal(s, gens, tuple(sorted(small)), conductor)
 
 
 def ns_from_small(small, conductor) -> NumericalSemigroup:
@@ -119,7 +154,7 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
     if conductor > 0 and member(conductor - 1):
         raise ValueError("conductor %d is not minimal" % (conductor,))
     mult = small[1] if len(small) > 1 else conductor + 1
-    gens = _minimal_generators(member, conductor, mult)
+    gens = _minimal_generators(lambda v: v > 0 and member(v), conductor + mult, member)
     return NumericalSemigroup(gens, small, conductor)
 
 
@@ -141,13 +176,8 @@ def ns_from_generators(gens) -> NumericalSemigroup:
             if reach[v - g]:
                 reach[v] = 1
                 break
-    conductor = 0
-    for v in range(bound, -1, -1):
-        if not reach[v]:
-            conductor = v + 1
-            break
-    small = tuple(v for v in range(conductor + 1) if reach[v])
-    return ns_from_small(small, conductor)
+    conductor = _conductor(reach.__getitem__, bound)
+    return ns_from_small((v for v in range(conductor + 1) if reach[v]), conductor)
 
 
 def ns_element_at(s: NumericalSemigroup, i: int) -> int:
@@ -166,85 +196,32 @@ def ns_multiplicity(s: NumericalSemigroup) -> int:
 
 
 def ns_is_arf(s: NumericalSemigroup) -> bool:
-    """Whether b + c - a is a member for all members a <= b, a <= c.
-
-    Triples with b or c past the conductor are automatic, so only small
-    elements are scanned.
-    """
-    small = s.small_elements
-    for ai, a in enumerate(small):
-        for bi in range(ai, len(small)):
-            b = small[bi]
-            for ci in range(bi, len(small)):
-                if not ns_contains(s, b + small[ci] - a):
-                    return False
-    return True
+    """Whether b + c - a is a member for all members a <= b, a <= c, that is,
+    whether s is its own Arf closure."""
+    return ns_arf_closure(s) == s
 
 
 def ns_arf_closure(s: NumericalSemigroup) -> NumericalSemigroup:
-    """Smallest Arf semigroup containing s.
+    """Smallest Arf semigroup containing s, by the multiplicity recursion.
 
-    Saturates b + c - a inside [0, conductor]: since b + c - a >= max(b, c),
-    results outside the window only come from triples outside it, so the
-    windowed fixpoint is exact.  The conductor can only shrink.
+    While the multiplicity m of the current generators exceeds 1, m joins the
+    running total and the generators become m and g - m for the others; the
+    totals are the members below the conductor, the last one the conductor.
     """
-    cap = s.conductor
-    members = set(s.small_elements)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(members)
-        for ai, a in enumerate(snapshot):
-            for bi in range(ai, len(snapshot)):
-                b = snapshot[bi]
-                for ci in range(bi, len(snapshot)):
-                    v = b + snapshot[ci] - a
-                    if v <= cap and v not in members:
-                        members.add(v)
-                        changed = True
-    conductor = 0
-    for v in range(cap, -1, -1):
-        if v not in members:
-            conductor = v + 1
-            break
-    small = tuple(v for v in sorted(members) if v <= conductor)
-    return ns_from_small(small, conductor)
-
-
-def _ideal_minimal_generators(member, conductor, mult, ambient):
-    gens = []
-    for v in range(0, conductor + mult + 1):
-        if not member(v):
-            continue
-        decomposable = False
-        for w in range(0, v):
-            if member(w) and ns_contains(ambient, v - w):
-                decomposable = True
-                break
-        if not decomposable:
-            gens.append(v)
-    return tuple(gens)
+    gens = set(s.generators)
+    small = [0]
+    while min(gens) > 1:
+        m = min(gens)
+        small.append(small[-1] + m)
+        gens = {m} | {g - m for g in gens if g != m}
+    return ns_from_small(small, small[-1])
 
 
 def ns_tail(s: NumericalSemigroup, a: int) -> NumericalIdeal:
     """The ideal of members >= a."""
     if a < 0:
         a = 0
-    bound = max(a, s.conductor)
-    members = [v for v in range(bound + 1) if v >= a and ns_contains(s, v)]
-    conductor = 0
-    for v in range(bound, -1, -1):
-        if v < a or not ns_contains(s, v):
-            conductor = v + 1
-            break
-    small = tuple(v for v in members if v <= conductor)
-    small_set = set(small)
-
-    def member(v):
-        return v >= conductor or v in small_set
-
-    gens = _ideal_minimal_generators(member, conductor, ns_multiplicity(s), s)
-    return NumericalIdeal(s, gens, small, conductor)
+    return _ideal(s, lambda v: v >= a and ns_contains(s, v), max(a, s.conductor))
 
 
 def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:
@@ -252,24 +229,12 @@ def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] < 0:
         raise ValueError("ideal generators must be nonnegative integers")
-    # Everything from min(gens) + conductor(s) onward is a member.
-    bound = gens[0] + s.conductor
-    members = set()
-    for v in range(bound + 1):
-        if any(g <= v and ns_contains(s, v - g) for g in gens):
-            members.add(v)
-    conductor = 0
-    for v in range(bound, -1, -1):
-        if v not in members:
-            conductor = v + 1
-            break
-    small = tuple(v for v in sorted(members) if v <= conductor)
 
     def member(v):
-        return v >= conductor or v in members
+        return any(g <= v and ns_contains(s, v - g) for g in gens)
 
-    mingens = _ideal_minimal_generators(member, conductor, ns_multiplicity(s), s)
-    return NumericalIdeal(s, mingens, small, conductor)
+    # Everything from min(gens) + conductor(s) onward is a member.
+    return _ideal(s, member, gens[0] + s.conductor)
 
 
 def ideal_preimage_scale(e: NumericalIdeal, k: int, s: NumericalSemigroup) -> NumericalIdeal:
@@ -280,20 +245,6 @@ def ideal_preimage_scale(e: NumericalIdeal, k: int, s: NumericalSemigroup) -> Nu
     """
     if k < 1:
         raise ValueError("scale factor must be >= 1")
+    # from here on x lies in s and k * x past the conductor of e
     bound = max(s.conductor, -(-e.conductor // k))
-    members = [v for v in range(bound + 1) if ns_contains(s, v) and ideal_contains(e, k * v)]
-    if not members:
-        raise ValueError("empty preimage: not an ideal")
-    conductor = 0
-    for v in range(bound, -1, -1):
-        if not (ns_contains(s, v) and ideal_contains(e, k * v)):
-            conductor = v + 1
-            break
-    small = tuple(v for v in members if v <= conductor)
-    small_set = set(small)
-
-    def member(v):
-        return v >= conductor or v in small_set
-
-    mingens = _ideal_minimal_generators(member, conductor, ns_multiplicity(s), s)
-    return NumericalIdeal(s, mingens, small, conductor)
+    return _ideal(s, lambda v: ns_contains(s, v) and ideal_contains(e, k * v), bound)

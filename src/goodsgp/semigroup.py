@@ -542,12 +542,15 @@ def good_semigroup(small: SmallSet) -> GoodSemigroup:
 
 
 def gs_from_generators(gens, conductor) -> GoodSemigroup:
-    """Least good semigroup containing the generators, truncated at conductor.
+    """The good semigroup read off the closure of the generators at conductor.
 
-    The closure is computed, the conductor lowered to its minimal usable
-    value, and the result validated.  The only axiom the closure can still
-    violate is the coordinate witness property; the raised NotGoodSemigroup
-    carries the offending truncated closure for inspection.
+    The truncated closure (closure_small) is computed, normalize_conductor
+    lowers its top as far as the filled corner box allows, and the result is
+    validated; a failure raises NotGoodSemigroup carrying the normalized
+    data.  Lowering the top gives the points on the new top lines rays, so
+    the result need not be the closure at the requested conductor: the
+    generators (1,2), (2,4), (1,4) at (2,4) give top (1,4), and (2,2) is a
+    member although the closure at (2,4) does not hold it.
     """
     closed = normalize_conductor(closure_small(gens, conductor))
     return good_semigroup(closed)

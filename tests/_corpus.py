@@ -132,6 +132,46 @@ def meet_fixpoint(points):
     return pts
 
 
+def arf_fixpoint(s):
+    """The Arf closure of a numerical semigroup as (small elements,
+    conductor), by saturating b + c - a inside [0, conductor]: b + c - a is
+    at least max(b, c), so results inside the window only come from triples
+    inside it.  The reference for ns_arf_closure."""
+    cap = s.conductor
+    members = set(s.small_elements)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(members)
+        for ai, a in enumerate(snapshot):
+            for bi in range(ai, len(snapshot)):
+                for c in snapshot[bi:]:
+                    v = snapshot[bi] + c - a
+                    if v <= cap and v not in members:
+                        members.add(v)
+                        changed = True
+    conductor = 0
+    for v in range(cap, -1, -1):
+        if v not in members:
+            conductor = v + 1
+            break
+    return tuple(v for v in sorted(members) if v <= conductor), conductor
+
+
+def arf_triple_scan(s):
+    """Whether b + c - a is a member for all small members a <= b <= c of a
+    numerical semigroup (larger b or c are automatic).  The reference for
+    ns_is_arf."""
+    small = s.small_elements
+    members = set(small)
+    return all(
+        s.conductor <= b + c - a or b + c - a in members
+        for ai, a in enumerate(small)
+        for bi, b in enumerate(small[ai:], ai)
+        for c in small[bi:]
+    )
+
+
 def sequential_elimination(order, generated):
     """The elimination that the uniqueness of minimal systems makes order
     free: walk the candidates in the given order and drop each one that

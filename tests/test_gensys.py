@@ -112,6 +112,10 @@ def test_monoid_fiber_reach():
     assert not monoid_fiber_reach(gens, 0, (5, 6))
     assert not monoid_fiber_reach(gens, 0, (1, 0))
     assert monoid_fiber_reach(gens, 1, (4, 4))
+    # a negative floor on the other axis still needs a sum that hits x exactly
+    assert not monoid_fiber_reach([Point((2, 2))], 0, (3, -1))
+    assert monoid_fiber_reach([Point((2, 2))], 0, (2, -1))
+    assert monoid_fiber_reach([Point((2, 2))], 0, (4, -5))
 
 
 def test_membership_in_closure_matches_the_semigroup(dup_example):

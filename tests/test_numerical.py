@@ -20,6 +20,8 @@ from goodsgp import (
     ns_tail,
 )
 
+from _corpus import arf_fixpoint, arf_triple_scan
+
 
 def test_small_elements_of_reference_semigroups():
     assert ns_from_generators([2, 3]).small_elements == (0, 2)
@@ -139,3 +141,58 @@ def test_preimage_scale(ns23):
     assert g.small_elements == (3, 5)
     with pytest.raises(ValueError):
         ideal_preimage_scale(e, 0, ns23)
+
+
+def _random_semigroups(seed, count, max_conductor=60):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 12)
+        gens = [m] + [rng.randint(m + 1, 4 * m) for _ in range(rng.randint(1, 4))]
+        try:
+            s = ns_from_generators(gens)
+        except ValueError:
+            continue  # gcd above 1
+        if s.conductor <= max_conductor:
+            out.append(s)
+    return out
+
+
+def _check_ideal(e, s, member, bound):
+    """e against its definition: member decides E, and every value past
+    bound is in E."""
+    window = range(bound + ns_multiplicity(s) + 2)
+    assert all(ideal_contains(e, v) == member(v) for v in window)
+    conductor = next(c for c in range(bound + 2) if all(member(v) for v in range(c, bound + 1)))
+    assert e.conductor == conductor
+    assert e.small_elements == tuple(v for v in range(conductor + 1) if member(v))
+    # generators: E minus E + (S minus 0)
+    sums = {w + x for w in window if member(w) for x in window if x > 0 and ns_contains(s, x)}
+    assert e.generators == tuple(v for v in window if member(v) and v not in sums)
+
+
+def test_arf_and_ideals_against_brute_references():
+    rng = random.Random(6061)
+    for s in _random_semigroups(6060, 200):
+        t = ns_arf_closure(s)
+        assert (t.small_elements, t.conductor) == arf_fixpoint(s)
+        assert ns_is_arf(s) == arf_triple_scan(s)
+        assert ns_is_arf(t) and arf_triple_scan(t)
+        c = s.conductor
+        # a semigroup's generators: M minus M + M for M = s minus 0
+        pos = [v for v in range(1, c + ns_multiplicity(s) + 1) if ns_contains(s, v)]
+        assert s.generators == tuple(sorted(set(pos) - {w + x for w in pos for x in pos}))
+
+        a = rng.randint(-2, c + 3)
+        _check_ideal(ns_tail(s, a), s, lambda v: v >= a and ns_contains(s, v), max(a, c))
+
+        gens = rng.sample(range(c + 4), rng.randint(1, 3))
+        e = ideal_from_generators(s, gens)
+        _check_ideal(e, s, lambda v: any(ns_contains(s, v - g) for g in gens), min(gens) + c)
+
+        k = rng.randint(1, 3)
+        bound = max(c, -(-e.conductor // k))
+        _check_ideal(
+            ideal_preimage_scale(e, k, s), s,
+            lambda v: ns_contains(s, v) and ideal_contains(e, k * v), bound,
+        )
