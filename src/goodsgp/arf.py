@@ -15,7 +15,6 @@ containing the input.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 
 from .errors import DimensionMismatch, NotGoodSemigroup
@@ -29,6 +28,7 @@ from .numerical import (
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
+    _box_members,
     _meet_closed_points,
     _require_dim2,
     _small_subset,
@@ -134,11 +134,7 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
     box = Point(box)
     if box.dim != s.dim:
         raise DimensionMismatch("box %r vs semigroup dimension %d" % (box, s.dim))
-    members = set(
-        p
-        for p in itertools.product(*(range(b + 1) for b in box))
-        if s.small.contains(p)
-    )
+    members = set(_box_members(s.small, box))
     changed = True
     while changed:
         changed = False

@@ -28,11 +28,10 @@ malformed input (negative coordinates and dimension mismatches included),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-from .arf import arf_closure, arf_saturation, is_arf, saturation_infima_closure
+from .arf import arf_closure, arf_saturation, is_arf
 from .constructions import amalgamation, cartesian, duplication, from_maximal_elements
 from .errors import (
     ConstructionError,
@@ -49,6 +48,8 @@ from .numerical import ideal_from_generators, ns_from_generators
 from .plot import render_plot
 from .semigroup import (
     GoodSemigroup,
+    _box_members,
+    _meet_closed_points,
     good_semigroup,
     gs_contains,
     gs_from_generators,
@@ -333,16 +334,11 @@ def cmd_saturate(args) -> int:
     else:
         box = _parse_point(args.box, s.dim)
     closure = arf_closure(s)  # n = 2 only: refuse other dimensions before the box work
+    if any(x < 0 for x in box):
+        raise _InputError("box %s has a negative coordinate" % (tuple(box),))
     sat = arf_saturation(s, box)
-    inf = [list(p) for p in saturation_infima_closure(s, box)]
-    closure_in_box = [
-        list(p)
-        for p in sorted(
-            Point(q)
-            for q in itertools.product(*(range(b + 1) for b in box))
-            if gs_contains(closure, q)
-        )
-    ]
+    inf = [list(p) for p in _meet_closed_points(sat, box)]
+    closure_in_box = [list(q) for q in _box_members(closure.small, box)]
     _emit(
         args,
         {
@@ -360,8 +356,11 @@ def cmd_plot(args) -> int:
     s = build_semigroup(_load_doc(args.input))
     text = render_plot(s, args.style)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _InputError("cannot write %s: %s" % (args.output, exc))
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -6,15 +6,6 @@ of one, are unique, so a candidate belongs to the minimal system exactly
 when it is not in the closure of all the other candidates: the rule is
 applied once per candidate, and no order of elimination can matter.
 
-By the truncated-closure membership lemma, a is in the closure of G when on
-every axis i with a_i below the conductor some sum of elements of G has
-exactly a_i on axis i and at least a_j on the other; any nonempty G reaches
-the conductor.  One knapsack table per axis over all of G answers every
-such question (_reach).  Candidates are positive on both axes, so no sum of
-two or more that uses a lands on the fiber of a: on axis i the others
-generate a exactly when a sum of two or more candidates, or another
-candidate above a on its fiber, reaches it.
-
 Ideals use clamped membership, which below the corner min(H) + C(S) has a
 direct characterization: p belongs exactly when, for every axis i with p_i
 below the corner, some generator h admits a member x of S with
@@ -23,15 +14,33 @@ witnesses dominate p, agree with it on their axis, and meet to p inside the
 cone of the corner.  Necessity: members are meets of points of H + S, and a
 meet realizes each coordinate through one of its arguments.  On the border
 the floor test absorbs the clamp.
+
+So one rule (_removable) decides each candidate p, read off the fiber tops
+F_i of the ambient (SmallSet.fiber_top): the corner is removable beside any
+other candidate, and otherwise p is when on every axis i with p_i below
+the corner another candidate lies above p on its fiber (x = 0), or some
+candidate h with h_i < p_i has h_j + F_i(p_i - h_i) >= p_j.
+
+A local semigroup S is the ideal S minus {0} of S for this rule.  By the
+truncated-closure membership lemma, a is in the closure of G when on every
+axis i with a_i below the conductor some sum of elements of G has exactly
+a_i on axis i and at least a_j on the other.  Candidates are positive, so
+a sum of two or more on the fiber of a is h + y, y a sum of candidates
+other than a; once the closure of G is Small(S), such y reach on each axis
+what the nonzero members of S reach up to the conductor, so no knapsack
+is needed.  membership_in_closure and monoid_fiber_reach keep the knapsack
+over sums (_reach) as a public check of the lemma.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from .errors import (
     DimensionMismatch, NonLocalError, NotAGeneratingSystem, UnsupportedDimension
 )
 from .lattice import Point, meet
-from .semigroup import GoodSemigroup, closure_small, fiber_reaches, is_local
+from .semigroup import GoodSemigroup, closure_small, is_local
 
 __all__ = [
     "monoid_fiber_reach",
@@ -63,33 +72,33 @@ def _clean_generators(gens, top):
     return out
 
 
-def _reach(gens, axis, last, cap):
-    """The reach table (some, two, high) of clean generators on one axis.
-
-    some[u] and two[u], for u in [0, last], are the largest other-axis
-    coordinate, capped at cap >= 0, of the sums with axis coordinate u of
-    any number of generators (the empty sum is 0) and of two or more; -1
-    when there is none.  high maps each axis value of the generators to
-    their largest other coordinate, the one step of that value that counts.
-    """
-    j = 1 - axis
+def _highs(gens, axis) -> dict:
+    """Each value the points take on axis mapped to their largest other
+    coordinate, the one point of that value that counts."""
     high = {}
     for g in gens:
-        if g[j] > high.get(g[axis], -1):
-            high[g[axis]] = g[j]
+        if g[1 - axis] > high.get(g[axis], -1):
+            high[g[axis]] = g[1 - axis]
+    return high
+
+
+def _reach(gens, axis, last, cap):
+    """The reach table of clean generators on one axis: for u in [0, last],
+    the largest other-axis coordinate, capped at cap >= 0, of the sums with
+    axis coordinate u of any number of generators (the empty sum is 0); -1
+    when there is none."""
+    high = _highs(gens, axis)
     steps = sorted(high.items())
     some = [0] + [-1] * last
-    two = [-1] * (last + 1)
     for u in range(1, last + 1):
-        best = -1
+        best = high.get(u, -1)
         for a, c in steps:
             if a >= u:
                 break
             if some[u - a] >= 0:
                 best = max(best, some[u - a] + c)
-        two[u] = min(best, cap)
-        some[u] = min(max(best, high.get(u, -1)), cap)
-    return some, two, high
+        some[u] = min(best, cap)
+    return some
 
 
 def monoid_fiber_reach(gens, axis: int, target) -> bool:
@@ -104,7 +113,7 @@ def monoid_fiber_reach(gens, axis: int, target) -> bool:
     v, w = target[axis], max(target[1 - axis], 0)
     # the table reads -1 where no sum hits v, so a negative floor must not
     # be compared against it
-    return v >= 0 and _reach(gens, axis, v, w)[0][v] >= w
+    return v >= 0 and _reach(gens, axis, v, w)[v] >= w
 
 
 def membership_in_closure(gens, conductor, a) -> bool:
@@ -123,23 +132,31 @@ def membership_in_closure(gens, conductor, a) -> bool:
     if a == d:
         return bool(gens) or not any(d)
     return all(
-        _reach(gens, i, d[i] - 1, d[1 - i])[0][a[i]] >= a[1 - i]
+        _reach(gens, i, d[i] - 1, d[1 - i])[a[i]] >= a[1 - i]
         for i in (0, 1) if a[i] != d[i]
     )
 
 
-def _removable(gens, top) -> list:
-    """Per clean generator, distinct and inside [0, top], whether it lies in
-    the closure of the others truncated at top (see the module docstring)."""
-    if len(gens) < 2:
-        return [False] * len(gens)  # the closure of nothing has no point
-    tables = [_reach(gens, i, top[i] - 1, top[1 - i])[1:] for i in (0, 1)]
+def _removable(cands, corner, ambient: GoodSemigroup) -> list:
+    """Per candidate, distinct points of [0, corner], whether it lies in the
+    closure of the others, by the one rule of the module docstring."""
+    if len(cands) < 2:
+        return [False] * len(cands)  # the closure of nothing has no point
+    tables = []
+    for i in (0, 1):
+        high = _highs(cands, i)
+        fiber = [ambient.small.fiber_top(i, u) for u in range(corner[i])]
+        reach = {
+            u: max((c + fiber[u - a] for a, c in high.items() if a < u), default=-inf)
+            for u in {p[i] for p in cands if p[i] < corner[i]}
+        }
+        tables.append((high, reach))
     return [
-        a == top or all(
-            two[a[i]] >= a[1 - i] or high[a[i]] > a[1 - i]
-            for i, (two, high) in enumerate(tables) if a[i] < top[i]
+        p == corner or all(
+            high[p[i]] > p[1 - i] or reach[p[i]] >= p[1 - i]
+            for i, (high, reach) in enumerate(tables) if p[i] < corner[i]
         )
-        for a in gens
+        for p in cands
     ]
 
 
@@ -164,7 +181,7 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
     if len(live) < len(cands):
         return False  # contains 0, which is always removable
     live = _clean_generators(live, top) if live else live
-    return not any(_removable(live, top))
+    return not any(_removable(live, top, s))
 
 
 def minimal_generating_system(s: GoodSemigroup) -> tuple:
@@ -176,19 +193,7 @@ def minimal_generating_system(s: GoodSemigroup) -> tuple:
     top = s.small.top
     cands = [p for p in s.small.points if any(p)]
     cands = _clean_generators(cands, top) if cands else cands
-    return tuple(a for a, out in zip(cands, _removable(cands, top)) if not out)
-
-
-def _ideal_removable(s: GoodSemigroup, cands, corner, p) -> bool:
-    """Does p lie in the clamp into [0, corner] of the meet closure of
-    H + S, for H the candidates other than p?  By the witness
-    characterization of the module docstring, each axis below the corner
-    needs an h in H and an ambient member x with x_i = p_i - h_i and
-    x_j >= p_j - h_j, and pinned axes need none.  n = 2 only."""
-    return len(cands) > 1 and all(
-        any(fiber_reaches(s, i, p[i] - h[i], p[1 - i] - h[1 - i]) for h in cands if h != p)
-        for i in (0, 1) if p[i] != corner[i]
-    )
+    return tuple(a for a, out in zip(cands, _removable(cands, top, s)) if not out)
 
 
 def minimal_ideal_generating_system(e) -> tuple:
@@ -205,4 +210,4 @@ def minimal_ideal_generating_system(e) -> tuple:
     if s.dim != 2:
         raise UnsupportedDimension("ideal generating systems are implemented for n = 2 only")
     pts, top = e.small.points, e.small.top
-    return tuple(p for p in pts if not _ideal_removable(s, pts, top, p))
+    return tuple(p for p, out in zip(pts, _removable(pts, top, s)) if not out)

@@ -45,12 +45,13 @@ from .errors import (
     NotGoodIdeal,
     UnsupportedDimension,
 )
-from .lattice import Point, geq, join, meet, ones
+from .lattice import Point, join, meet, ones
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
     ValidationReport,
     Violation,
+    _box_members,
     _conductor_violations,
     _coordinate_witness_violations,
     _first_missing_sum,
@@ -59,7 +60,6 @@ from .semigroup import (
     _require_dim2,
     _row_points,
     _rows,
-    fiber_reaches,
     is_local,
     maximal_elements,
     normalize_conductor,
@@ -129,14 +129,6 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
     violations.extend(_absorption_violations(ambient, small))
     violations.extend(_conductor_violations(small))
     return ValidationReport(not violations, tuple(violations))
-
-
-def _box_members(small: SmallSet, bound):
-    """Members of the set small describes inside the box [0, bound], in
-    itertools.product order."""
-    for q in itertools.product(*(range(b + 1) for b in bound)):
-        if small.contains(q):
-            yield q
 
 
 def _absorption_violation(e, q) -> Violation:
@@ -246,11 +238,7 @@ def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
     if a.dim != s.dim:
         raise DimensionMismatch("point %r vs ambient dimension %d" % (a, s.dim))
     top = join(a, s.small.top)
-    pts = tuple(
-        Point(p)
-        for p in itertools.product(*(range(t + 1) for t in top))
-        if geq(p, a) and s.small.contains(p)
-    )
+    pts = tuple(map(Point, _box_members(s.small, top, a)))
     return good_ideal(s, SmallSet(pts, top))
 
 
@@ -309,11 +297,11 @@ def canonical_ideal(s: GoodSemigroup) -> GoodRelativeIdeal:
         raise NonLocalError("the canonical ideal requires a local semigroup")
     top = s.small.top
     g0, g1 = top[0] - 1, top[1] - 1
+    fiber_top = s.small.fiber_top
     pts = tuple(
         Point(a)
         for a in itertools.product(range(top[0] + 1), range(top[1] + 1))
-        if not fiber_reaches(s, 0, g0 - a[0], g1 - a[1] + 1)
-        and not fiber_reaches(s, 1, g1 - a[1], g0 - a[0] + 1)
+        if fiber_top(0, g0 - a[0]) <= g1 - a[1] and fiber_top(1, g1 - a[1]) <= g0 - a[0]
     )
     return GoodRelativeIdeal(s, SmallSet(pts, top))
 

@@ -25,7 +25,10 @@ closures and the meet, sum and absorption checks work on these rows:
 
 The checks report the same witnesses, in the same order, as the pair scans
 they replace; those, and a pairwise meet fixpoint, remain for n != 2.  The
-zero, witness and conductor checks work on the points in every dimension.
+zero and conductor checks work on the points in every dimension.  Fiber
+queries (fiber_reaches, the witness check, canonical ideals and minimal
+generating systems) all read the fiber tops of SmallSet (fiber_top), the
+one place that holds the ray rule.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 from .errors import (
     DimensionMismatch,
@@ -104,15 +108,21 @@ class SmallSet:
         return tuple(_rows(self.points, self.top[0]))
 
     @cached_property
-    def fiber_max(self) -> tuple:
-        """n = 2 only: per axis i, each value the points take on axis i
-        mapped to the largest other coordinate among the points taking it."""
-        idx = ({}, {})
-        for p in self.points:
-            for i in (0, 1):
-                if p[1 - i] > idx[i].get(p[i], -1):
-                    idx[i][p[i]] = p[1 - i]
-        return idx
+    def _fiber_tops(self) -> tuple:
+        # per axis i and u in [0, top_i], the other coordinate of the last
+        # (highest) point with u on axis i, -inf for none, and inf where it
+        # lies on the top of the other axis and so starts a ray
+        t0, t1 = self.top
+        cols = [-inf] * (t0 + 1), [-inf] * (t1 + 1)
+        for x, y in self.points:
+            cols[0][x], cols[1][y] = y, x
+        return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
+
+    def fiber_top(self, axis: int, value: int):
+        """n = 2 only: the largest other coordinate of a member of the
+        reconstructed set with `value` on `axis`: inf on a ray and past the
+        top, -inf when there is none."""
+        return self._fiber_tops[axis][min(value, self.top[axis])] if value >= 0 else -inf
 
     @property
     def dim(self) -> int:
@@ -192,15 +202,9 @@ def fiber_reaches(s: GoodSemigroup, axis: int, value: int, floor: int) -> bool:
     count as members.  n = 2 only."""
     if s.dim != 2:
         raise UnsupportedDimension("fiber queries are implemented for n = 2 only")
-    if value < 0:
-        return False
-    if value >= s.small.top[axis]:
-        return True
-    best = s.small.fiber_max[axis].get(value)
-    if best is None:
-        return False
-    # a fiber member on the top of the other axis starts a ray there
-    return best >= floor or best == s.small.top[1 - axis]
+    if axis not in (0, 1):
+        raise IndexError("axis %d out of range" % (axis,))
+    return s.small.fiber_top(axis, value) >= floor
 
 
 def _rows(points, x_top) -> list:
@@ -331,6 +335,16 @@ def _witness_search(point_set, top, exact, floor, axis, strict_above):
     return False
 
 
+def _witness_violation(a, b, i) -> Violation:
+    return Violation(
+        "witness",
+        (a, b),
+        i,
+        "members share coordinate %d but no member exceeds them there above "
+        "their meet" % (i,),
+    )
+
+
 def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     """Violations of the shared coordinate axiom.
 
@@ -338,40 +352,33 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     c_i strictly larger, c_j = min(a_j, b_j) on axes where a_j != b_j, and
     c_j >= min(a_j, b_j) elsewhere.  Pairs with a = b are always satisfied
     by the conductor ray, so only distinct pairs are scanned.  For n = 2 the
-    condition collapses to a per point test: a point a that is not the top of
-    its axis-i fiber needs some x with x_j = a_j and x_i > a_i (or x_i at the
-    top, whose ray provides the rest).
+    condition collapses to a per point test on the fiber tops: a point a
+    below the top of its axis-i fiber needs a member x with x_j = a_j and
+    x_i > a_i, and the witness is a with the next point above it.
     """
+    if small.dim != 2:
+        return _witness_pair_scan(small, stop_after_first)
     pts = small.points
+    tops = small._fiber_tops
+    out = []
+    for a in pts:
+        for i in (0, 1):
+            j = 1 - i
+            if tops[i][a[i]] <= a[j] or tops[j][a[j]] > a[i]:
+                continue
+            mate = min(b for b in pts if b[i] == a[i] and b[j] > a[j])
+            out.append(_witness_violation(a, mate, i))
+            if stop_after_first:
+                return out
+    return out
+
+
+def _witness_pair_scan(small: SmallSet, stop_after_first=True) -> list:
+    """_coordinate_witness_violations by the scan over all pairs of points."""
+    point_list = list(small.points)
     top = tuple(small.top)
     n = len(top)
     out = []
-    if n == 2:
-        fiber_max = small.fiber_max
-        for a in pts:
-            for i in (0, 1):
-                j = 1 - i
-                if fiber_max[i][a[i]] <= a[j]:
-                    continue  # a is the top of its fiber; nothing shares below it
-                reach = fiber_max[j].get(a[j], -1)
-                if reach > a[i] or reach == top[i]:
-                    continue
-                mate = min(
-                    b for b in pts if b[i] == a[i] and b[j] > a[j]
-                )
-                out.append(
-                    Violation(
-                        "witness",
-                        (a, mate),
-                        i,
-                        "members share coordinate %d but no member exceeds "
-                        "them there above their meet" % (i,),
-                    )
-                )
-                if stop_after_first:
-                    return out
-        return out
-    point_list = list(pts)
     for ai, a in enumerate(point_list):
         for b in point_list[ai + 1 :]:
             for i in range(n):
@@ -388,15 +395,7 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
                     else:
                         floor.append((j, mj))
                 if not _witness_search(point_list, top, exact, floor, i, a[i]):
-                    out.append(
-                        Violation(
-                            "witness",
-                            (a, b),
-                            i,
-                            "members share coordinate %d but no member exceeds "
-                            "them there above their meet" % (i,),
-                        )
-                    )
+                    out.append(_witness_violation(a, b, i))
                     if stop_after_first:
                         return out
     return out
@@ -561,6 +560,15 @@ def gs_contains(s: GoodSemigroup, p) -> bool:
     return s.small.contains(Point(p))
 
 
+def _box_members(small: SmallSet, bound, low=None):
+    """Members of the set small describes inside the box [low, bound], low
+    0 when omitted, in itertools.product order."""
+    low = low or (0,) * len(bound)
+    for q in itertools.product(*(range(a, b + 1) for a, b in zip(low, bound))):
+        if small.contains(q):
+            yield q
+
+
 def _small_subset(a: SmallSet, b: SmallSet) -> bool:
     """Whether the set a reconstructs lies inside the one b reconstructs.
 
@@ -568,10 +576,7 @@ def _small_subset(a: SmallSet, b: SmallSet) -> bool:
     so containment is decided on the box reaching one step beyond it.
     """
     bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
-    for p in itertools.product(*(range(c + 1) for c in bound)):
-        if a.contains(p) and not b.contains(p):
-            return False
-    return True
+    return all(b.contains(p) for p in _box_members(a, bound))
 
 
 def gs_subset(s: GoodSemigroup, t: GoodSemigroup) -> bool:

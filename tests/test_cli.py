@@ -273,6 +273,21 @@ def test_plot_svg_to_file(capsys, tmp_path, dup_doc):
     assert svg.count("<circle") == len(data.DUP_SMALL)
 
 
+def test_saturate_refuses_a_negative_box(capsys, dup_doc):
+    code, out, err = _run(capsys, ["saturate", dup_doc, "--box=-1,3"])
+    assert code == 2
+    assert err.startswith("error:") and "negative" in err
+    assert out == ""
+
+
+def test_plot_to_an_unwritable_path_exits_two(capsys, tmp_path, dup_doc):
+    target = tmp_path / "missing" / "dup.svg"
+    code, out, err = _run(capsys, ["plot", dup_doc, "--output", str(target)])
+    assert code == 2
+    assert err.startswith("error: cannot write %s" % (target,))
+    assert out == ""
+
+
 def test_plot_refuses_three_dimensions(capsys, tmp_path):
     doc = _write(tmp_path, "cube.json", _CUBE)
     code, _, err = _run(capsys, ["check", doc])

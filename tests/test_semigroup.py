@@ -216,6 +216,9 @@ def test_fiber_reaches(dup_example):
     assert fiber_reaches(dup_example, 0, 8, 0)
     assert not fiber_reaches(dup_example, 0, -1, 0)
     assert fiber_reaches(dup_example, 0, 20, 0)  # past the conductor
+    for axis in (-1, 2):
+        with pytest.raises(IndexError, match="axis %d out of range" % (axis,)):
+            fiber_reaches(dup_example, axis, 3, 0)
 
 
 def test_membership_matches_the_brute_oracle_on_random_instances():
@@ -262,6 +265,19 @@ def _thinned_semigroups(draw):
 @given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
 def test_row_kernel_reports_what_the_pair_scans_report(small):
     assert validate_small_set(small) == _pair_scan_report(small)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
+def test_fiber_top_witness_test_matches_the_pair_scan(small):
+    # the n = 2 per point test against the general _witness_search scan
+    assert semigroup._coordinate_witness_violations(small) == (
+        semigroup._witness_pair_scan(small)
+    )
+    fast = semigroup._coordinate_witness_violations(small, stop_after_first=False)
+    scan = semigroup._witness_pair_scan(small, stop_after_first=False)
+    assert {(v.witness[0], v.axis) for v in fast} == {(v.witness[0], v.axis) for v in scan}
+    assert set(fast) <= set(scan)
 
 
 @pytest.mark.parametrize("axiom", [None, "zero", "meet", "sum", "witness", "conductor"])
