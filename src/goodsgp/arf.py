@@ -16,6 +16,7 @@ containing the input.
 from __future__ import annotations
 
 import warnings
+from operator import add, ge, lt, sub
 
 from .errors import DimensionMismatch, NotGoodSemigroup
 from .lattice import Point, geq
@@ -31,7 +32,10 @@ from .semigroup import (
     _box_members,
     _meet_closed_points,
     _require_dim2,
+    _row_points,
+    _rows,
     _small_subset,
+    _sum_closure,
     good_semigroup,
     is_local,
     projection,
@@ -129,7 +133,10 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
     """Fixpoint of b + c - a (a <= b, a <= c) over the members inside [0, box].
 
     Exact within the box: b + c - a dominates both b and c, so results
-    inside the box only ever come from triples inside it.
+    inside the box only ever come from triples inside it.  For one a they
+    are a plus the sums of members above a, shifted by -a, that stay in
+    box - a: their sum closure (_sum_closure) at box - a + 1 less that
+    outer border.  Rounds over every a repeat until nothing is added.
     """
     box = Point(box)
     if box.dim != s.dim:
@@ -138,19 +145,18 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
     changed = True
     while changed:
         changed = False
-        pts = sorted(members)
-        for a in pts:
-            above = [b for b in pts if all(x >= y for x, y in zip(b, a))]
-            for i, b in enumerate(above):
-                for c in above[i:]:
-                    q = tuple(x + y - z for x, y, z in zip(b, c, a))
-                    if q in members or any(x > t for x, t in zip(q, box)):
-                        continue
-                    members.add(q)
+        for a in sorted(members):
+            bound = tuple(b - x + 1 for b, x in zip(box, a))
+            above = [tuple(map(sub, p, a)) for p in members if all(map(ge, p, a))]
+            for q in _row_points(_sum_closure(above, bound), bound):
+                p = tuple(map(add, q, a))
+                if p not in members and all(map(lt, q, bound)):
+                    members.add(p)
                     changed = True
     return tuple(sorted(Point(p) for p in members))
 
 
 def saturation_infima_closure(s: GoodSemigroup, box) -> tuple:
     """Meet closure of the in-box saturation (meets stay inside the box)."""
-    return _meet_closed_points(arf_saturation(s, box), Point(box))
+    box = Point(box)
+    return _meet_closed_points(_rows(arf_saturation(s, box), box), box)

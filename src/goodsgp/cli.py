@@ -50,6 +50,7 @@ from .semigroup import (
     GoodSemigroup,
     _box_members,
     _meet_closed_points,
+    _rows,
     good_semigroup,
     gs_contains,
     gs_from_generators,
@@ -337,7 +338,7 @@ def cmd_saturate(args) -> int:
     if any(x < 0 for x in box):
         raise _InputError("box %s has a negative coordinate" % (tuple(box),))
     sat = arf_saturation(s, box)
-    inf = [list(p) for p in _meet_closed_points(sat, box)]
+    inf = [list(p) for p in _meet_closed_points(_rows(sat, box), box)]
     closure_in_box = [list(q) for q in _box_members(closure.small, box)]
     _emit(
         args,

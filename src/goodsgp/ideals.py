@@ -114,10 +114,10 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
 
     Absorption adds every ambient member q of the box up to the join of both
     conductors to the data; beyond it every sum clamps to one already
-    checked.  For n = 2 each q is tested against all of the data at once by
-    a column scan over the data's bit rows, and the witness is the first q,
-    in box order, with the first point e whose clamped sum with q is
-    missing.
+    checked.  Each q is tested against all of the data at once by a scan
+    over the data's bit rows (_first_missing_sum), and the witness is the
+    first q, in box order, with the first point e whose clamped sum with q
+    is missing.
     """
     if ambient.dim != small.dim:
         raise DimensionMismatch(
@@ -144,22 +144,9 @@ def _absorption_violations(ambient: GoodSemigroup, small: SmallSet) -> list:
     """The first ambient member q of the box up to the join of both
     conductors, and then point e of the data, whose clamped sum is missing
     from the data."""
-    if small.dim != 2:
-        return _absorption_pair_scan(ambient, small)
     members = _box_members(ambient.small, join(small.top, ambient.small.top))
     pair = _first_missing_sum(small, members)
     return [] if pair is None else [_absorption_violation(pair[1], pair[0])]
-
-
-def _absorption_pair_scan(ambient: GoodSemigroup, small: SmallSet) -> list:
-    """_absorption_violations by the scan over every member and point."""
-    pset = small.point_set
-    top = tuple(small.top)
-    for q in _box_members(ambient.small, join(small.top, ambient.small.top)):
-        for e in small.points:
-            if tuple(min(x + y, c) for x, y, c in zip(e, q, top)) not in pset:
-                return [_absorption_violation(e, q)]
-    return []
 
 
 def good_ideal(ambient: GoodSemigroup, small: SmallSet) -> GoodRelativeIdeal:
@@ -186,7 +173,7 @@ def _clamped_sum_ideal(s: GoodSemigroup, addends, small, corner) -> GoodRelative
     """
     c0, c1 = corner
     below = (1 << c1) - 1
-    cols = [(x, r) for x, r in enumerate(_rows(_box_members(small, corner), c0)) if r]
+    cols = [(x, r) for x, r in enumerate(_rows(_box_members(small, corner), corner)) if r]
     rows = [0] * (c0 + 1)
     for p0, p1 in addends:
         for x, r in cols:
@@ -194,7 +181,7 @@ def _clamped_sum_ideal(s: GoodSemigroup, addends, small, corner) -> GoodRelative
             if v > below:
                 v = v & below | 1 << c1
             rows[min(p0 + x, c0)] |= v
-    data = SmallSet(_row_points(_meet_closure(rows, corner)), corner)
+    data = SmallSet(_row_points(_meet_closure(rows, corner), corner), corner)
     return good_ideal(s, normalize_conductor(data))
 
 

@@ -11,24 +11,26 @@ candidate set X with top element T is
 and validation checks whether that reconstruction is closed under meets and
 sums, has the coordinate witness property, and uses a minimal conductor.
 
-For n = 2 a small set is also held as bit rows (SmallSet.rows): one int per
-column x in [0, C_0], with bit y set exactly when (x, y) is a point.  Meet
-closures and the meet, sum and absorption checks work on these rows:
+A small set is also held as bit rows (SmallSet.rows): one int per prefix of
+the first n - 1 coordinates of [0, C], in itertools.product order, with bit
+y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 
-* each coordinate of an iterated meet in N^2 comes from one argument, so
+* min(a + b, C) for all b of the row at prefix p is that row shifted up by
+  a's last coordinate, every bit at or above C's standing for it, and it
+  lands in the row at min(p + a', C') (primes drop the last coordinate).
+  The sum and absorption checks (_first_missing_sum) and the sum closure
+  behind closure_small and arf_saturation (_sum_closure) share this shift.
+* For n = 2 each coordinate of an iterated meet comes from one argument, so
   column x of the meet closure is the union of the columns from x on, below
   the highest bit of column x (_meet_closure), and a set is meet closed
-  exactly when that closure equals its rows;
-* min(a + b, C) for all b of one column x is that row shifted up by a_1,
-  with every bit at or above C_1 standing for C_1, and it must lie in the
-  column min(a_0 + x, C_0).
+  exactly when that closure equals its rows.
 
 The checks report the same witnesses, in the same order, as the pair scans
-they replace; those, and a pairwise meet fixpoint, remain for n != 2.  The
-zero and conductor checks work on the points in every dimension.  Fiber
-queries (fiber_reaches, the witness check, canonical ideals and minimal
-generating systems) all read the fiber tops of SmallSet (fiber_top), the
-one place that holds the ray rule.
+they replace; only the meet and witness pair scans, and a pairwise meet
+fixpoint, remain for n != 2.  The zero and conductor checks work on the
+points in every dimension.  Fiber queries (fiber_reaches, the witness
+check, canonical ideals and minimal generating systems) all read the fiber
+tops of SmallSet (fiber_top), the one place that holds the ray rule.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf
+from math import inf, prod
+from operator import itemgetter, lt, mul
 
 from .errors import (
     DimensionMismatch,
@@ -73,10 +76,10 @@ __all__ = [
 class SmallSet:
     """A finite candidate set of small elements with its top element.
 
-    Type level invariants: points are deduplicated, lexicographically sorted,
-    within [0, top], of equal dimension, and top itself is present.  Whether
-    the set actually describes a good semigroup (or a good ideal) is decided
-    by the validators, not here.
+    Type level invariants: points are strictly increasing (so deduplicated and
+    lexicographically sorted), within [0, top], of equal dimension, and top
+    itself is present.  Whether the set actually describes a good semigroup
+    (or a good ideal) is decided by the validators, not here.
     """
 
     points: tuple
@@ -93,7 +96,9 @@ class SmallSet:
                 raise ValueError("point %r has a negative coordinate" % (p,))
             if any(x > t for x, t in zip(p, self.top)):
                 raise ValueError("point %r exceeds the top %r" % (p, self.top))
-        if self.top not in self.point_set:
+        if not all(map(lt, self.points, self.points[1:])):
+            raise ValueError("points are not strictly increasing")
+        if self.points[-1] != self.top:
             raise ValueError("top %r is not in the point set" % (self.top,))
 
     @cached_property
@@ -103,9 +108,10 @@ class SmallSet:
 
     @cached_property
     def rows(self) -> tuple:
-        """n = 2 only: per x in [0, top_0], the int with bit y set exactly
-        when (x, y) is a point."""
-        return tuple(_rows(self.points, self.top[0]))
+        """Per prefix p of the first n - 1 coordinates of [0, top], in
+        itertools.product order, the int with bit y set exactly when
+        (p, y) is a point; for n = 2, one int per x in [0, top_0]."""
+        return tuple(_rows(self.points, self.top))
 
     @cached_property
     def _fiber_tops(self) -> tuple:
@@ -207,19 +213,80 @@ def fiber_reaches(s: GoodSemigroup, axis: int, value: int, floor: int) -> bool:
     return s.small.fiber_top(axis, value) >= floor
 
 
-def _rows(points, x_top) -> list:
-    """The bit rows of n = 2 points with first coordinate at most x_top."""
-    rows = [0] * (x_top + 1)
-    for x, y in points:
-        rows[x] |= 1 << y
+_head = itemgetter(slice(-1))  # a point's prefix: all but its last coordinate
+
+
+def _prefixes(top):
+    """The prefixes of [0, top], one per bit row, in itertools.product order."""
+    return itertools.product(*(range(t + 1) for t in top[:-1]))
+
+
+def _strides(sides) -> list:
+    """Row-major strides of a box with the given side lengths."""
+    return [prod(sides[j + 1 :]) for j in range(len(sides))]
+
+
+def _rows(points, top) -> list:
+    """The bit rows of points inside [0, top] (see SmallSet.rows)."""
+    sides = [max(t + 1, 0) for t in top[:-1]]
+    strides, rows = _strides(sides), [0] * prod(sides)
+    for head, group in itertools.groupby(points, _head):
+        i = sum(map(mul, head, strides))
+        for p in group:
+            rows[i] |= 1 << p[-1]
     return rows
 
 
-def _row_points(rows) -> tuple:
-    """The points of bit rows, in lexicographic order."""
+def _row_points(rows, top) -> tuple:
+    """The points of the bit rows of [0, top], in lexicographic order."""
     return tuple(
-        Point((x, y)) for x, r in enumerate(rows) for y in range(r.bit_length()) if r >> y & 1
+        Point(p + (y,)) for p, r in zip(_prefixes(top), rows) for y in range(r.bit_length())
+        if r >> y & 1
     )
+
+
+def _padding(top):
+    """Targets of the translates of the bit rows of [0, top]: the row at
+    min(p + a', top') that a sends the row at p to sits in the padded prefix
+    box, whose axis j runs to 2 top_j, at o(p) + o(a), where o(a) is
+    sum(map(mul, map(min, a, top), strides)).  Returns the padded strides,
+    o(p) per row, and per padded entry the index of the row it stands for.
+    """
+    heads = top[:-1]
+    strides = _strides([2 * t + 1 for t in heads])
+    row_strides = _strides([t + 1 for t in heads])
+    padded = itertools.product(*(range(2 * t + 1) for t in heads))
+    clamp = [sum(map(mul, map(min, q, heads), row_strides)) for q in padded]
+    return strides, [sum(map(mul, p, strides)) for p in _prefixes(top)], clamp
+
+
+def _sum_closure(gens, top) -> list:
+    """The bit rows of the least set inside [0, top] holding 0 and closed
+    under min(p + g, top) for every g of gens, points of [0, top].
+
+    One sweep per generator g ORs each row, in increasing order and shifted
+    up by g's last coordinate with the bits past top's folded into its top
+    bit, into its target row (_padding).  Targets never precede their
+    source, so the sweep closes the set under adding g (a row that is its
+    own target repeats until it stops growing), and later sweeps keep that.
+    Generators go by coordinate sum, and one already present, a sum of
+    earlier ones, is skipped.
+    """
+    last = top[-1]
+    below = (1 << last) - 1
+    strides, offsets, clamp = _padding(top)
+    rows = [1] + [0] * (len(offsets) - 1)
+    for g in sorted(gens, key=sum):
+        into, shift = clamp[sum(map(mul, g, strides)) :], g[-1]
+        if rows[into[0]] >> shift & 1:  # into[0] is g's own row
+            continue
+        for i, o in enumerate(offsets):
+            r = 0
+            while rows[i] != r:
+                r = rows[i]
+                v = r << shift
+                rows[into[o]] |= v & below | 1 << last if v > below else v
+    return rows
 
 
 def _meet_closure(members, top):
@@ -239,11 +306,12 @@ def _meet_closure(members, top):
     return pts
 
 
-def _meet_closed_points(points, top) -> tuple:
-    """_meet_closure of points inside [0, top], as sorted Points."""
+def _meet_closed_points(rows, top) -> tuple:
+    """_meet_closure of the points of bit rows of [0, top], as sorted
+    Points."""
     if len(top) == 2:
-        return _row_points(_meet_closure(_rows(points, top[0]), top))
-    return tuple(sorted(map(Point, _meet_closure(points, top))))
+        return _row_points(_meet_closure(rows, top), top)
+    return tuple(sorted(map(Point, _meet_closure(_row_points(rows, top), top))))
 
 
 def closure_small(gens, conductor) -> SmallSet:
@@ -251,30 +319,26 @@ def closure_small(gens, conductor) -> SmallSet:
 
     The least set holding {0, C} and the truncated generators and closed
     under min(a + b, C) and min(a, b).  Truncated sums distribute over
-    meets, so it is the meet closure (_meet_closure) of the sum closure.
-    The result is the small element candidate set of the least good
-    semigroup containing the generators when one exists; validation
-    decides that separately.
+    meets, so it is the meet closure (_meet_closure) of the sum closure
+    (_sum_closure).  The result is the small element candidate set of the
+    least good semigroup containing the generators when one exists;
+    validation decides that separately.
     """
     top = Point(conductor)
     n = top.dim
     if any(t < 0 for t in top):
         raise ValueError("conductor must be in N^n")
-    pts = {(0,) * n, tuple(top)}
+    clamped = []
     for g in gens:
         g = Point(g)
         if g.dim != n:
             raise DimensionMismatch("generator %r vs conductor %r" % (g, top))
         if any(x < 0 for x in g):
             raise ValueError("generator %r has a negative coordinate" % (g,))
-        pts.add(tuple(min(x, t) for x, t in zip(g, top)))
-    new = pts
-    while new:
-        new = {
-            tuple(min(x + y, t) for x, y, t in zip(a, b, top)) for a in new for b in pts
-        } - pts
-        pts = pts | new
-    return SmallSet(_meet_closed_points(pts, top), top)
+        clamped.append(tuple(map(min, g, top)))
+    rows = _sum_closure(clamped, top)
+    rows[-1] |= 1 << top[-1]
+    return SmallSet(_meet_closed_points(rows, top), top)
 
 
 def normalize_conductor(small: SmallSet) -> SmallSet:
@@ -449,26 +513,31 @@ def _meet_pair_scan(small: SmallSet) -> list:
 def _first_missing_sum(small: SmallSet, addends):
     """The first a of addends, then the first point b of small, such that
     min(a + b, top) is not a point, as (a, b); None when there is none.
-    n = 2 only.
 
-    Column x of the rows, shifted up by a_1, must lie in column
-    min(a_0 + x, top_0).  A shifted bit at or above top_1 stands for top_1,
-    so a target column counts every bit from top_1 on as missing when it
-    lacks top_1, and none of them otherwise; then b_1 is the lowest missing
-    bit minus a_1 whether or not its sum was clamped.
+    The row at prefix p, shifted up by a's last coordinate, must lie in the
+    row at min(p + a', top') (_padding).  A shifted bit at or above top's
+    last coordinate stands for it, so a target row counts every bit from
+    there on as missing when it lacks that top bit, and none of them
+    otherwise; then b's last coordinate is the lowest missing bit minus a's
+    whether or not its sum was clamped.
     """
-    rows = small.rows
-    t0, t1 = small.top
-    below = (1 << t1) - 1
-    missing = [~r & below if r >> t1 & 1 else ~r for r in rows]
-    missing += [missing[t0]] * t0  # indexed by min(a_0, top_0) + x
-    cols = [(x, r) for x, r in enumerate(rows) if r]
-    for a in addends:
-        a0, a1 = min(a[0], t0), a[1]
-        for x, r in cols:
-            miss = r << a1 & missing[a0 + x]
-            if miss:
-                return a, Point((x, _low_bit(miss) - a1))
+    top, rows = small.top, small.rows
+    last = top[-1]
+    below = (1 << last) - 1
+    strides, offsets, clamp = _padding(top)
+    missing = [~r & below if r >> last & 1 else ~r for r in rows]
+    missing = [missing[i] for i in clamp]
+    cols = [(o, r) for o, r in zip(offsets, rows) if r]
+    # addends sharing a prefix share their target rows
+    for head, group in itertools.groupby(addends, _head):
+        into = missing[sum(map(mul, map(min, head, top), strides)) :]
+        for a in group:
+            shift = a[-1]
+            for o, r in cols:
+                miss = r << shift & into[o]
+                if miss:
+                    p = next(p for p, q in zip(_prefixes(top), offsets) if q == o)
+                    return a, Point(p + (_low_bit(miss) - shift,))
     return None
 
 
@@ -478,21 +547,8 @@ def _sum_violation(a, b) -> Violation:
 
 def _sum_violations(small: SmallSet) -> list:
     """The first pair of points whose truncated sum is missing."""
-    if small.dim != 2:
-        return _sum_pair_scan(small)
     pair = _first_missing_sum(small, small.points)
     return [] if pair is None else [_sum_violation(*pair)]
-
-
-def _sum_pair_scan(small: SmallSet) -> list:
-    """_sum_violations by the scan over all pairs of points."""
-    pset = small.point_set
-    top = tuple(small.top)
-    for a in small.points:
-        for b in small.points:
-            if tuple(min(x + y, t) for x, y, t in zip(a, b, top)) not in pset:
-                return [_sum_violation(a, b)]
-    return []
 
 
 def _conductor_violations(small: SmallSet) -> list:

@@ -9,9 +9,10 @@ loops fast and deterministic.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+import itertools
 import random
+from functools import lru_cache
+from operator import lt
 
 from goodsgp import (
     ConstructionError,
@@ -23,14 +24,20 @@ from goodsgp import (
     good_semigroup,
     ideal_from_generators,
     is_local,
+    join,
     membership_in_closure,
     normalize_conductor,
     ns_from_generators,
+    small_set,
 )
+from goodsgp import ideals, semigroup
 
 # The benchmark's conductor ladder: the duplications "S by e + S" of <3,5> by
 # 5 (C=13) and <5,7> by 7 (C=31)
 LADDER = {13: ([3, 5], 5), 31: ([5, 7], 7)}
+# The benchmark's n = 3 product <3,5> x <3,7> x <4,5>: 245 small elements,
+# conductor (8, 12, 12)
+PRODUCT3 = ([3, 5], [3, 7], [4, 5])
 
 
 def random_numerical(rng, max_conductor=10):
@@ -115,6 +122,61 @@ def corpus(seed, count, cap=15, local_only=True):
     """A reusable tuple of random good semigroups for property loops."""
     rng = random.Random(seed)
     return tuple(random_good_semigroup(rng, cap, local_only) for _ in range(count))
+
+
+def product_semigroup(*factors):
+    """The product in N^n of the numerical semigroups with the given
+    generators: every tuple of factor small elements, topped by the tuple
+    of the factor conductors."""
+    ns = [ns_from_generators(g) for g in factors]
+    pts = itertools.product(*(f.small_elements for f in ns))
+    return good_semigroup(small_set(pts, tuple(f.conductor for f in ns)))
+
+
+def sum_pair_scan(small):
+    """The sum check by the scan over all pairs of points: the reference,
+    witness order included, for the row kernel of semigroup._sum_violations."""
+    pset = small.point_set
+    top = tuple(small.top)
+    for a in small.points:
+        for b in small.points:
+            if tuple(min(x + y, t) for x, y, t in zip(a, b, top)) not in pset:
+                return [semigroup._sum_violation(a, b)]
+    return []
+
+
+def absorption_pair_scan(ambient, small):
+    """The absorption check by the scan over every ambient member of the box
+    up to the join of both conductors and every point: the reference for
+    ideals._absorption_violations."""
+    pset = small.point_set
+    top = tuple(small.top)
+    for q in semigroup._box_members(ambient.small, join(small.top, ambient.small.top)):
+        for e in small.points:
+            if tuple(min(x + y, c) for x, y, c in zip(e, q, top)) not in pset:
+                return [ideals._absorption_violation(e, q)]
+    return []
+
+
+def saturation_fixpoint(s, box):
+    """The in-box saturation by rounds over every triple a <= b, c of
+    members inside [0, box], adding b + c - a when it lies in the box, until
+    a round adds nothing: the reference for arf_saturation."""
+    members = set(semigroup._box_members(s.small, box))
+    changed = True
+    while changed:
+        changed = False
+        pts = sorted(members)
+        for a in pts:
+            above = [b for b in pts if all(x >= y for x, y in zip(b, a))]
+            for i, b in enumerate(above):
+                for c in above[i:]:
+                    q = tuple(x + y - z for x, y, z in zip(b, c, a))
+                    if q in members or any(x > t for x, t in zip(q, box)):
+                        continue
+                    members.add(q)
+                    changed = True
+    return tuple(sorted(Point(p) for p in members))
 
 
 def meet_fixpoint(points):
@@ -214,9 +276,10 @@ def _fiber_top(pts, i):
 
 
 def corrupt(pts, top, axiom):
-    """A copy of valid n = 2 small data that breaks the given axiom, made
-    the way the benchmark makes its reject documents: the corrupted point
-    is the middle candidate in lexicographic order."""
+    """A copy of valid small data that breaks the given axiom, made the way
+    the benchmark makes its reject documents: zero and sum work in any
+    dimension, the others in N^2.  The corrupted point is the middle
+    candidate in lexicographic order."""
     pts = [tuple(p) for p in pts]
     top = tuple(top)
     if axiom == "zero":
@@ -224,8 +287,8 @@ def corrupt(pts, top, axiom):
     if axiom == "sum":
         # drop a doubled point 2a below the top, so a + a goes missing
         pset = set(pts)
-        doubled = [(2 * x, 2 * y) for x, y in pts if x or y]
-        d = _middle([p for p in doubled if p in pset and p[0] < top[0] and p[1] < top[1]])
+        doubled = [tuple(2 * x for x in p) for p in pts if any(p)]
+        d = _middle([p for p in doubled if p in pset and all(map(lt, p, top))])
         return [p for p in pts if p != d], top
     if axiom == "meet":
         # drop m with points above it on both of its fibers; they meet at m

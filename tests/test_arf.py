@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from goodsgp import (
 )
 
 import _data as data
-from _corpus import corpus, meet_fixpoint
+from _corpus import corpus, meet_fixpoint, product_semigroup, saturation_fixpoint
 
 
 def _closure_small(s):
@@ -167,4 +168,25 @@ def test_saturation_infima_closure_in_three_dimensions():
         closed = saturation_infima_closure(s, box)
         assert sorted(map(tuple, closed)) == sorted(meet_fixpoint(sat))
         grown += len(closed) - len(sat)
+    assert grown > 0
+
+
+def test_saturation_matches_the_triple_fixpoint():
+    # local, non-local and n = 3 inputs, in boxes below, at and past the
+    # conductor
+    rng = random.Random(519)
+    cases = corpus(519, 12, cap=8) + corpus(520, 12, cap=8, local_only=False) + (
+        product_semigroup([2, 3], [2, 5], [3, 4]),
+        gs_from_generators([(5, 2, 2), (4, 4, 5), (1, 5, 3)], (2, 3, 4)),
+    )
+    grown = 0
+    for s in cases:
+        for _ in range(2):
+            box = tuple(t + rng.randint(-1, 3) for t in s.small.top)
+            sat = arf_saturation(s, box)
+            assert sat == saturation_fixpoint(s, box)
+            closed = saturation_infima_closure(s, box)
+            assert sorted(map(tuple, closed)) == sorted(meet_fixpoint(sat))
+            box_members = itertools.product(*(range(b + 1) for b in box))
+            grown += len(sat) - sum(1 for p in box_members if gs_contains(s, p))
     assert grown > 0

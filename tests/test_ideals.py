@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import inf
 from unittest import mock
 
 import pytest
@@ -38,7 +39,13 @@ from goodsgp import (
 from goodsgp import ideals, semigroup
 
 import _data as data
-from _corpus import corpus, ladder_duplication, meet_fixpoint
+from _corpus import (
+    absorption_pair_scan,
+    corpus,
+    ladder_duplication,
+    meet_fixpoint,
+    product_semigroup,
+)
 
 
 def _shift(rows, by):
@@ -305,34 +312,38 @@ def test_absorption_by_a_member_above_the_top(dup_example):
 
 
 def _pair_scan_report(ambient, small):
-    """validate_ideal_small_set with the pair scans in place of the n = 2
+    """validate_ideal_small_set with the pair scans in place of the bit
     rows."""
     with mock.patch.object(ideals, "_meet_violations", semigroup._meet_pair_scan), \
-            mock.patch.object(ideals, "_absorption_violations", ideals._absorption_pair_scan):
+            mock.patch.object(ideals, "_absorption_violations", absorption_pair_scan):
         return validate_ideal_small_set(ambient, small)
 
 
 _AMBIENTS = corpus(518, 12, cap=8) + (ladder_duplication(13),)
+_AMBIENTS3 = (
+    product_semigroup([2, 3], [2, 5], [3, 4]),
+    product_semigroup([2, 3], [3, 4], [2, 3]),
+)
 
 
 @st.composite
-def _boxed_ideal_data(draw):
+def _boxed_ideal_data(draw, ambients=_AMBIENTS, side=inf):
     """An ambient semigroup and any subset of a box whose corner, the top,
-    lies below the ambient conductor on one axis."""
-    s = draw(st.sampled_from(_AMBIENTS))
+    lies below the ambient conductor on one axis and at most side on all."""
+    s = draw(st.sampled_from(ambients))
     c = s.small.top
-    top = [draw(st.integers(0, c[0] + 3)), draw(st.integers(0, c[1] + 3))]
-    low = draw(st.integers(0, 1))
+    top = [draw(st.integers(0, x + 3)) for x in c]
+    low = draw(st.integers(0, len(c) - 1))
     top[low] = draw(st.integers(0, max(c[low] - 1, 0)))
-    top = tuple(top)
-    pts = draw(st.sets(st.tuples(st.integers(0, top[0]), st.integers(0, top[1]))))
+    top = tuple(min(t, side) for t in top)
+    pts = draw(st.sets(st.tuples(*(st.integers(0, t) for t in top))))
     return s, small_set(pts | {top}, top)
 
 
 @st.composite
-def _thinned_tails(draw):
+def _thinned_tails(draw, ambients=_AMBIENTS):
     """A tail ideal of an ambient semigroup with up to two points dropped."""
-    s = draw(st.sampled_from(_AMBIENTS))
+    s = draw(st.sampled_from(ambients))
     small = tail_ideal(s, draw(st.sampled_from(s.small.points))).small
     below = small.points[:-1]  # every point but the top
     drop = draw(st.sets(st.sampled_from(below), max_size=2)) if below else set()
@@ -340,7 +351,12 @@ def _thinned_tails(draw):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(st.one_of(_boxed_ideal_data(), _thinned_tails()))
+@given(st.one_of(
+    _boxed_ideal_data(),
+    _thinned_tails(),
+    _boxed_ideal_data(_AMBIENTS3, side=3),
+    _thinned_tails(_AMBIENTS3),
+))
 def test_row_kernel_reports_what_the_pair_scans_report(case):
     s, small = case
     assert validate_ideal_small_set(s, small) == _pair_scan_report(s, small)

@@ -12,6 +12,7 @@ from goodsgp import (
     DimensionMismatch,
     NotGoodSemigroup,
     Point,
+    SmallSet,
     brute_member,
     closure_small,
     delta_fiber_nonempty,
@@ -34,7 +35,15 @@ from goodsgp import (
 from goodsgp import semigroup
 
 import _data as data
-from _corpus import corpus, corrupt, ladder_duplication, meet_fixpoint
+from _corpus import (
+    PRODUCT3,
+    corpus,
+    corrupt,
+    ladder_duplication,
+    meet_fixpoint,
+    product_semigroup,
+    sum_pair_scan,
+)
 
 
 def _gs(rows, top):
@@ -58,6 +67,18 @@ def test_small_set_requires_top_among_points():
         small_set([(0, 0), (-1, 2), (2, 2)], (2, 2))
     with pytest.raises(DimensionMismatch):
         small_set([(0, 0), (1, 1, 1)], (2, 2))
+
+
+def test_small_set_requires_strictly_increasing_points():
+    p = Point
+    for pts in [
+        (p((2, 2)), p((0, 0)), p((2, 2))),  # unsorted, with a repeat
+        (p((0, 0)), p((0, 0)), p((2, 2))),  # sorted, with a repeat
+        (p((1, 0)), p((0, 1)), p((2, 2))),  # unsorted
+    ]:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SmallSet(pts, p((2, 2)))
+    assert SmallSet((p((0, 0)), p((2, 2))), p((2, 2))) == small_set([(2, 2), (0, 0), (2, 2)])
 
 
 def test_small_set_membership_clamps_at_the_top(dup_example):
@@ -239,17 +260,17 @@ def test_projections_of_random_instances_are_semigroups():
 
 
 def _pair_scan_report(small):
-    """validate_small_set with the pair scans in place of the n = 2 rows."""
+    """validate_small_set with the pair scans in place of the bit rows."""
     with mock.patch.object(semigroup, "_meet_violations", semigroup._meet_pair_scan), \
-            mock.patch.object(semigroup, "_sum_violations", semigroup._sum_pair_scan):
+            mock.patch.object(semigroup, "_sum_violations", sum_pair_scan):
         return validate_small_set(small)
 
 
 @st.composite
-def _boxed_subsets(draw, side=7):
-    """Any subset of a small box, plus the box's corner as its top."""
-    top = (draw(st.integers(0, side)), draw(st.integers(0, side)))
-    pts = draw(st.sets(st.tuples(st.integers(0, top[0]), st.integers(0, top[1]))))
+def _boxed_subsets(draw, side=7, dim=2):
+    """Any subset of a small box in N^dim, plus the box's corner as its top."""
+    top = tuple(draw(st.integers(0, side)) for _ in range(dim))
+    pts = draw(st.sets(st.tuples(*(st.integers(0, t) for t in top))))
     return small_set(pts | {top}, top)
 
 
@@ -262,7 +283,7 @@ def _thinned_semigroups(draw):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
+@given(st.one_of(_boxed_subsets(), _boxed_subsets(side=3, dim=3), _thinned_semigroups()))
 def test_row_kernel_reports_what_the_pair_scans_report(small):
     assert validate_small_set(small) == _pair_scan_report(small)
 
@@ -293,6 +314,21 @@ def test_row_kernel_reports_what_the_pair_scans_report_on_the_ladder(rung, axiom
     if axiom is None:
         assert report.ok
     else:
+        assert axiom in {v.axiom for v in report.violations}
+
+
+@pytest.mark.parametrize("axiom", [None, "zero", "sum"])
+def test_row_kernel_reports_what_the_pair_scans_report_on_the_n3_product(axiom):
+    # the benchmark's n = 3 product and its n = 3 reject documents
+    small = product_semigroup(*PRODUCT3).small
+    pts = small.points
+    if axiom is not None:
+        pts = corrupt(pts, small.top, axiom)[0]
+    small = small_set(pts, small.top)
+    report = validate_small_set(small)
+    assert report == _pair_scan_report(small)
+    assert report.ok == (axiom is None)
+    if axiom is not None:
         assert axiom in {v.axiom for v in report.violations}
 
 
