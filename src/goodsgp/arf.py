@@ -1,9 +1,15 @@
 """The Arf property, Arf closure, and saturation experiments.
 
-A good semigroup is Arf when b + c - a is a member for all members
-a <= b, a <= c (componentwise order).  Scanning small triples decides it:
-replacing b or c by its meet with the conductor leaves the clamped result,
-and hence membership, unchanged.
+A good semigroup S is Arf when b + c - a is a member for all members
+a <= b, a <= c (componentwise order).  That is a property of the shifted
+tails T_a = {x - a : x in S, x >= a}: S is Arf exactly when every T_a is
+closed under sums, since
+
+    b + c - a = a + (b - a) + (c - a)  is in S  iff  (b - a) + (c - a)
+    is in T_a, and b - a, c - a range over all of T_a.
+
+Scanning small triples decides it: replacing b or c by its meet with the
+conductor leaves the clamped result, and hence membership, unchanged.
 
 The closure of a local semigroup is found along a chain of candidates built
 from the Arf closures T1, T2 of the coordinate projections.  Level i glues
@@ -16,10 +22,10 @@ containing the input.
 from __future__ import annotations
 
 import warnings
-from operator import add, ge, lt, sub
+from operator import add, ge, lt, mul, sub
 
 from .errors import DimensionMismatch, NotGoodSemigroup
-from .lattice import Point, geq
+from .lattice import Point
 from .numerical import (
     NumericalSemigroup,
     ns_arf_closure,
@@ -30,11 +36,15 @@ from .semigroup import (
     GoodSemigroup,
     SmallSet,
     _box_members,
+    _first_missing_sum,
     _meet_closed_points,
+    _prefixes,
     _require_dim2,
     _row_points,
+    _row_tuples,
     _rows,
     _small_subset,
+    _strides,
     _sum_closure,
     good_semigroup,
     is_local,
@@ -52,16 +62,24 @@ __all__ = [
 
 
 def is_arf(s: GoodSemigroup) -> bool:
-    """Is b + c - a a member for all members a <= b, a <= c?"""
-    pts = s.small.points
-    contains = s.small.contains
-    for a in pts:
-        above = [b for b in pts if geq(b, a)]
-        for i, b in enumerate(above):
-            for c in above[i:]:
-                q = tuple(x + y - z for x, y, z in zip(b, c, a))
-                if not contains(q):
-                    return False
+    """Is b + c - a a member for all members a <= b, a <= c?
+
+    Exactly when the shifted tail T_a of every small element a is closed
+    under truncated sums (see the module docstring).  T_a at top C - a is
+    exact under clamping, as min(y, C - a) + a = min(y + a, C); its bit row
+    at prefix q is the row of s at q + a' shifted down by a's last
+    coordinate, and the sum kernel (_first_missing_sum) scans it.
+    """
+    top, rows = s.small.top, s.small.rows
+    strides = _strides([t + 1 for t in top[:-1]])
+    for a in s.small.points:
+        tail_top = tuple(map(sub, top, a))
+        tail = [
+            rows[sum(map(mul, map(add, q, a), strides))] >> a[-1]
+            for q in _prefixes(tail_top)
+        ]
+        if _first_missing_sum(tail, tail_top, _row_tuples(tail, tail_top)) is not None:
+            return False
     return True
 
 

@@ -145,7 +145,7 @@ def _absorption_violations(ambient: GoodSemigroup, small: SmallSet) -> list:
     conductors, and then point e of the data, whose clamped sum is missing
     from the data."""
     members = _box_members(ambient.small, join(small.top, ambient.small.top))
-    pair = _first_missing_sum(small, members)
+    pair = _first_missing_sum(small.rows, small.top, members)
     return [] if pair is None else [_absorption_violation(pair[1], pair[0])]
 
 

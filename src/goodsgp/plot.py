@@ -36,19 +36,18 @@ def _render_ascii(s: GoodSemigroup) -> str:
     top = s.small.top
     xmax = top[0] + MARGIN
     ymax = top[1] + MARGIN
-    pset = s.small.point_set
     lines = []
     for y in range(ymax, -1, -1):
         row = []
         for x in range(xmax + 1):
-            if (x, y) in pset:
+            if not s.small.contains((x, y)):
+                ch = "."
+            elif x <= top[0] and y <= top[1]:
                 ch = "o"
             elif x >= top[0] and y >= top[1]:
                 ch = "#"
-            elif s.small.contains((x, y)):
-                ch = "-" if x > top[0] else "|"
             else:
-                ch = "."
+                ch = "-" if x > top[0] else "|"
             row.append(ch)
         lines.append("%3d  %s" % (y, " ".join(row)))
     ruler = " ".join("+" if x % 5 == 0 else "-" for x in range(xmax + 1))

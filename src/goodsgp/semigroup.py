@@ -15,11 +15,13 @@ A small set is also held as bit rows (SmallSet.rows): one int per prefix of
 the first n - 1 coordinates of [0, C], in itertools.product order, with bit
 y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 
+* Membership (SmallSet.contains) is one bit of the rows: bit min(p_n, C_n)
+  of the row at min(p', C'), primes dropping the last coordinate.
 * min(a + b, C) for all b of the row at prefix p is that row shifted up by
   a's last coordinate, every bit at or above C's standing for it, and it
-  lands in the row at min(p + a', C') (primes drop the last coordinate).
-  The sum and absorption checks (_first_missing_sum) and the sum closure
-  behind closure_small and arf_saturation (_sum_closure) share this shift.
+  lands in the row at min(p + a', C').  The sum and absorption checks and
+  the Arf test (_first_missing_sum), and the sum closure behind
+  closure_small and arf_saturation (_sum_closure), share this shift.
 * For n = 2 each coordinate of an iterated meet comes from one argument, so
   column x of the meet closure is the union of the columns from x on, below
   the highest bit of column x (_meet_closure), and a set is meet closed
@@ -27,10 +29,11 @@ y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 
 The checks report the same witnesses, in the same order, as the pair scans
 they replace; only the meet and witness pair scans, and a pairwise meet
-fixpoint, remain for n != 2.  The zero and conductor checks work on the
-points in every dimension.  Fiber queries (fiber_reaches, the witness
-check, canonical ideals and minimal generating systems) all read the fiber
-tops of SmallSet (fiber_top), the one place that holds the ray rule.
+fixpoint, remain for n != 2.  The zero check reads the first point and the
+conductor check reads membership, in every dimension.  Fiber queries
+(fiber_reaches, the witness check, canonical ideals and minimal generating
+systems) all read the fiber tops of SmallSet (fiber_top), the one place
+that holds the ray rule.
 """
 
 from __future__ import annotations
@@ -102,11 +105,6 @@ class SmallSet:
             raise ValueError("top %r is not in the point set" % (self.top,))
 
     @cached_property
-    def point_set(self) -> frozenset:
-        # Points hash and compare as tuples, so plain tuples look them up
-        return frozenset(self.points)
-
-    @cached_property
     def rows(self) -> tuple:
         """Per prefix p of the first n - 1 coordinates of [0, top], in
         itertools.product order, the int with bit y set exactly when
@@ -135,13 +133,18 @@ class SmallSet:
         return self.top.dim
 
     def contains(self, p) -> bool:
-        """Membership in the reconstructed semigroup, not just the finite set."""
-        if len(p) != self.dim:
-            raise DimensionMismatch("point %r vs top %r" % (p, self.top))
+        """Membership in the reconstructed semigroup, not just the finite
+        set: one bit of the rows, at p clamped to the top."""
+        top = self.top
+        if len(p) != len(top):
+            raise DimensionMismatch("point %r vs top %r" % (p, top))
         if any(x < 0 for x in p):
             return False
-        clamped = tuple(min(x, t) for x, t in zip(p, self.top))
-        return clamped in self.point_set
+        *head, y = map(min, p, top)
+        i = 0
+        for x, t in zip(head, top):  # the row index, in row-major order
+            i = i * (t + 1) + x
+        return self.rows[i] >> y & 1 == 1
 
 
 def small_set(points, top=None) -> SmallSet:
@@ -237,12 +240,18 @@ def _rows(points, top) -> list:
     return rows
 
 
-def _row_points(rows, top) -> tuple:
-    """The points of the bit rows of [0, top], in lexicographic order."""
-    return tuple(
-        Point(p + (y,)) for p, r in zip(_prefixes(top), rows) for y in range(r.bit_length())
+def _row_tuples(rows, top):
+    """The points of the bit rows of [0, top] as plain tuples, in
+    lexicographic order."""
+    return (
+        p + (y,) for p, r in zip(_prefixes(top), rows) for y in range(r.bit_length())
         if r >> y & 1
     )
+
+
+def _row_points(rows, top) -> tuple:
+    """The points of the bit rows of [0, top], in lexicographic order."""
+    return tuple(map(Point, _row_tuples(rows, top)))
 
 
 def _padding(top):
@@ -349,7 +358,6 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
     per axis descent finds its minimum.  Points are then replaced by their
     meets with the new top.
     """
-    pts = small.point_set
     top = tuple(small.top)
     n = len(top)
     m = list(top)
@@ -362,7 +370,7 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
                 ranges.append((m[axis] - 1,))
             else:
                 ranges.append(range(m[j], top[j] + 1))
-        return all(p in pts for p in itertools.product(*ranges))
+        return all(map(small.contains, itertools.product(*ranges)))
 
     changed = True
     while changed:
@@ -502,7 +510,7 @@ def _meet_violations(small: SmallSet) -> list:
 
 def _meet_pair_scan(small: SmallSet) -> list:
     """_meet_violations by the scan over all pairs of points."""
-    pset = small.point_set
+    pset = set(small.points)
     for a in small.points:
         for b in small.points:
             if tuple(map(min, a, b)) not in pset:
@@ -510,9 +518,10 @@ def _meet_pair_scan(small: SmallSet) -> list:
     return []
 
 
-def _first_missing_sum(small: SmallSet, addends):
-    """The first a of addends, then the first point b of small, such that
-    min(a + b, top) is not a point, as (a, b); None when there is none.
+def _first_missing_sum(rows, top, addends):
+    """The first a of addends, then the first point b of the bit rows of
+    [0, top], such that min(a + b, top) is not a point, as (a, b); None
+    when there is none.
 
     The row at prefix p, shifted up by a's last coordinate, must lie in the
     row at min(p + a', top') (_padding).  A shifted bit at or above top's
@@ -521,7 +530,6 @@ def _first_missing_sum(small: SmallSet, addends):
     otherwise; then b's last coordinate is the lowest missing bit minus a's
     whether or not its sum was clamped.
     """
-    top, rows = small.top, small.rows
     last = top[-1]
     below = (1 << last) - 1
     strides, offsets, clamp = _padding(top)
@@ -547,7 +555,7 @@ def _sum_violation(a, b) -> Violation:
 
 def _sum_violations(small: SmallSet) -> list:
     """The first pair of points whose truncated sum is missing."""
-    pair = _first_missing_sum(small, small.points)
+    pair = _first_missing_sum(small.rows, small.top, small.points)
     return [] if pair is None else [_sum_violation(*pair)]
 
 
@@ -559,7 +567,7 @@ def _conductor_violations(small: SmallSet) -> list:
         if top[i] == 0:
             continue
         lower = tuple(t - 1 if j == i else t for j, t in enumerate(top))
-        if lower in small.point_set:
+        if small.contains(lower):
             out.append(
                 Violation(
                     "conductor",
@@ -579,7 +587,7 @@ def validate_small_set(small: SmallSet) -> ValidationReport:
     witness property, and minimality of the conductor.
     """
     violations = []
-    if (0,) * small.dim not in small.point_set:
+    if any(small.points[0]):  # points are sorted, so 0 comes first
         violations.append(Violation("zero", (), None, "0 is not a member"))
     violations.extend(_meet_violations(small))
     violations.extend(_sum_violations(small))

@@ -136,7 +136,7 @@ def product_semigroup(*factors):
 def sum_pair_scan(small):
     """The sum check by the scan over all pairs of points: the reference,
     witness order included, for the row kernel of semigroup._sum_violations."""
-    pset = small.point_set
+    pset = set(small.points)
     top = tuple(small.top)
     for a in small.points:
         for b in small.points:
@@ -149,13 +149,28 @@ def absorption_pair_scan(ambient, small):
     """The absorption check by the scan over every ambient member of the box
     up to the join of both conductors and every point: the reference for
     ideals._absorption_violations."""
-    pset = small.point_set
+    pset = set(small.points)
     top = tuple(small.top)
     for q in semigroup._box_members(ambient.small, join(small.top, ambient.small.top)):
         for e in small.points:
             if tuple(min(x + y, c) for x, y, c in zip(e, q, top)) not in pset:
                 return [ideals._absorption_violation(e, q)]
     return []
+
+
+def arf_triple_loop(s):
+    """Whether b + c - a is a member for all small elements a <= b, a <= c
+    of a good semigroup, by the scan over every such triple: the reference
+    for the shifted-tail scan of is_arf."""
+    pts = s.small.points
+    contains = s.small.contains
+    for a in pts:
+        above = [b for b in pts if all(x >= y for x, y in zip(b, a))]
+        for i, b in enumerate(above):
+            for c in above[i:]:
+                if not contains(tuple(x + y - z for x, y, z in zip(b, c, a))):
+                    return False
+    return True
 
 
 def saturation_fixpoint(s, box):

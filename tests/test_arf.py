@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -18,6 +19,7 @@ from goodsgp import (
     gs_from_generators,
     gs_subset,
     is_arf,
+    is_local,
     ns_arf_closure,
     ns_from_generators,
     ns_from_small,
@@ -27,7 +29,14 @@ from goodsgp import (
 )
 
 import _data as data
-from _corpus import corpus, meet_fixpoint, product_semigroup, saturation_fixpoint
+from _corpus import (
+    PRODUCT3,
+    arf_triple_loop,
+    corpus,
+    meet_fixpoint,
+    product_semigroup,
+    saturation_fixpoint,
+)
 
 
 def _closure_small(s):
@@ -134,6 +143,31 @@ def test_arf_characterizations_agree_on_random_instances():
         top = s.small.top
         box = (top[0] + box_pad, top[1] + box_pad)
         assert a == brute_arf_check(s, box)
+
+
+def _arf_cases():
+    """Local and non-local corpus semigroups, their Arf closures, and the
+    n = 3 products <2,3>^3 (Arf) and the benchmark's PRODUCT3 (not Arf)."""
+    found = corpus(519, 30, cap=10) + corpus(520, 30, cap=10, local_only=False)
+    with warnings.catch_warnings():
+        # the closure of a non-local semigroup warns that it may not be minimal
+        warnings.simplefilter("ignore", UserWarning)
+        closures = tuple(arf_closure(s) for s in found)
+    return found + closures + (product_semigroup([2, 3], [2, 3], [2, 3]),
+                               product_semigroup(*PRODUCT3))
+
+
+def test_tail_scan_matches_the_triple_loop_and_the_oracle():
+    cases = _arf_cases()
+    assert not all(map(is_local, cases)) and any(map(is_local, cases))
+    verdicts = []
+    for s in cases:
+        got = is_arf(s)
+        assert got == arf_triple_loop(s), s.small
+        assert got == brute_arf_check(s, tuple(t + 1 for t in s.small.top)), s.small
+        verdicts.append(got)
+    assert verdicts[-2:] == [True, False]
+    assert verdicts.count(False) > 10 and verdicts.count(True) > 10
 
 
 def test_closure_projections_are_the_numerical_closures():

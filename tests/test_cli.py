@@ -225,6 +225,16 @@ def test_arf_closure(capsys, tmp_path):
     assert payload["conductor"] == list(data.ARFEX1_CLOSURE[1])
 
 
+@pytest.mark.parametrize("command", ["arf-closure", "saturate"])
+def test_non_local_closure_warns_on_one_stderr_line(capsys, cart_doc, command):
+    code, out, err = _run(capsys, [command, cart_doc])
+    assert code == 0 and json.loads(out)
+    assert err == (
+        "warning: arf_closure of a non local semigroup returns the product of "
+        "the projection closures, which may not be minimal\n"
+    )
+
+
 def test_saturate(capsys, tmp_path):
     doc = _write(
         tmp_path,

@@ -93,6 +93,26 @@ def test_small_set_membership_clamps_at_the_top(dup_example):
         s.contains((1, 2, 3))
 
 
+def _clamped_in_points(small, p):
+    """Membership read off the points: p clamped to the top is one of them."""
+    return all(x >= 0 for x in p) and tuple(map(min, p, small.top)) in set(small.points)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_membership_matches_the_clamped_point_lookup(dim):
+    rng = random.Random(9100 + dim)
+    for _ in range(40):
+        top = tuple(rng.randint(0, 6) for _ in range(dim))
+        box = [tuple(rng.randint(0, t) for t in top) for _ in range(rng.randint(0, 30))]
+        small = small_set(box + [top], top)
+        for _ in range(60):
+            p = tuple(rng.randint(-2, t + 3) for t in top)
+            assert small.contains(p) == _clamped_in_points(small, p), (small, p)
+        for wrong in (dim - 1, dim + 1):
+            with pytest.raises(DimensionMismatch):
+                small.contains((0,) * wrong)
+
+
 def test_duplication_small_set_is_valid():
     report = validate_small_set(small_set(data.DUP_SMALL, data.DUP_CONDUCTOR))
     assert report.ok
@@ -330,6 +350,36 @@ def test_row_kernel_reports_what_the_pair_scans_report_on_the_n3_product(axiom):
     assert report.ok == (axiom is None)
     if axiom is not None:
         assert axiom in {v.axiom for v in report.violations}
+
+
+def _zero_and_conductor_by_points(small):
+    """The zero and conductor violations read off a set of the points."""
+    pset, top = set(small.points), tuple(small.top)
+    out = [] if (0,) * len(top) in pset else [("zero", (), None)]
+    for i, t in enumerate(top):
+        lower = top[:i] + (t - 1,) + top[i + 1 :]
+        if t and lower in pset:
+            out.append(("conductor", (lower,), i))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(rung, axiom) for rung in (13, 31)
+     for axiom in (None, "zero", "meet", "sum", "witness", "conductor")]
+    + [("n3", axiom) for axiom in (None, "zero", "sum")],
+)
+def test_zero_and_conductor_reports_read_off_the_points(case):
+    rung, axiom = case
+    small = (product_semigroup(*PRODUCT3) if rung == "n3" else ladder_duplication(rung)).small
+    pts, top = small.points, small.top
+    if axiom is not None:
+        pts, top = corrupt(pts, top, axiom)
+    small = small_set(pts, top)
+    got = [(v.axiom, v.witness, v.axis) for v in validate_small_set(small).violations
+           if v.axiom in ("zero", "conductor")]
+    assert got == _zero_and_conductor_by_points(small)
+    assert bool(got) == (axiom in ("zero", "conductor"))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
