@@ -22,7 +22,7 @@ containing the input.
 from __future__ import annotations
 
 import warnings
-from operator import add, ge, lt, mul, sub
+from operator import add, ge, lt, sub
 
 from .errors import DimensionMismatch, NotGoodSemigroup
 from .lattice import Point
@@ -36,16 +36,14 @@ from .semigroup import (
     GoodSemigroup,
     SmallSet,
     _box_members,
-    _first_missing_sum,
     _meet_closed_points,
-    _prefixes,
     _require_dim2,
     _row_points,
     _row_tuples,
     _rows,
     _small_subset,
-    _strides,
     _sum_closure,
+    _tail_sum_closed,
     good_semigroup,
     is_local,
     projection,
@@ -65,22 +63,11 @@ def is_arf(s: GoodSemigroup) -> bool:
     """Is b + c - a a member for all members a <= b, a <= c?
 
     Exactly when the shifted tail T_a of every small element a is closed
-    under truncated sums (see the module docstring).  T_a at top C - a is
-    exact under clamping, as min(y, C - a) + a = min(y + a, C); its bit row
-    at prefix q is the row of s at q + a' shifted down by a's last
-    coordinate, and the sum kernel (_first_missing_sum) scans it.
+    under truncated sums (see the module docstring), which one scan of
+    T_a's bit rows at top C - a decides (_tail_sum_closed).
     """
-    top, rows = s.small.top, s.small.rows
-    strides = _strides([t + 1 for t in top[:-1]])
-    for a in s.small.points:
-        tail_top = tuple(map(sub, top, a))
-        tail = [
-            rows[sum(map(mul, map(add, q, a), strides))] >> a[-1]
-            for q in _prefixes(tail_top)
-        ]
-        if _first_missing_sum(tail, tail_top, _row_tuples(tail, tail_top)) is not None:
-            return False
-    return True
+    small = s.small
+    return all(_tail_sum_closed(small, a) for a in _row_tuples(small.rows, small.top))
 
 
 def _chain_level_small(t1: NumericalSemigroup, t2: NumericalSemigroup, i: int) -> SmallSet:

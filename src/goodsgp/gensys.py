@@ -40,7 +40,7 @@ from .errors import (
     DimensionMismatch, NonLocalError, NotAGeneratingSystem, UnsupportedDimension
 )
 from .lattice import Point, meet
-from .semigroup import GoodSemigroup, closure_small, is_local
+from .semigroup import GoodSemigroup, _row_tuples, closure_small, is_local
 
 __all__ = [
     "monoid_fiber_reach",
@@ -209,5 +209,6 @@ def minimal_ideal_generating_system(e) -> tuple:
         raise NonLocalError("minimal generating systems require a local ambient")
     if s.dim != 2:
         raise UnsupportedDimension("ideal generating systems are implemented for n = 2 only")
-    pts, top = e.small.points, e.small.top
-    return tuple(p for p, out in zip(pts, _removable(pts, top, s)) if not out)
+    top = e.small.top
+    pts = list(_row_tuples(e.small.rows, top))
+    return tuple(Point(p) for p, out in zip(pts, _removable(pts, top, s)) if not out)

@@ -35,7 +35,6 @@ C(S) - (1, 1) - a and strictly dominates it on the other axis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -58,8 +57,9 @@ from .semigroup import (
     _meet_closure,
     _meet_violations,
     _require_dim2,
-    _row_points,
+    _row_tuples,
     _rows,
+    _tail_sum_closed,
     is_local,
     maximal_elements,
     normalize_conductor,
@@ -98,7 +98,7 @@ class GoodRelativeIdeal:
 
     @cached_property
     def min_element(self) -> Point:
-        return reduce(meet, self.small.points)
+        return Point(map(min, zip(*_row_tuples(self.small.rows, self.small.top))))
 
     def __contains__(self, p):
         return gi_contains(self, p)
@@ -181,7 +181,7 @@ def _clamped_sum_ideal(s: GoodSemigroup, addends, small, corner) -> GoodRelative
             if v > below:
                 v = v & below | 1 << c1
             rows[min(p0 + x, c0)] |= v
-    data = SmallSet(_row_points(_meet_closure(rows, corner), corner), corner)
+    data = SmallSet._of_rows(_meet_closure(rows, corner), corner)
     return good_ideal(s, normalize_conductor(data))
 
 
@@ -225,24 +225,21 @@ def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
     if a.dim != s.dim:
         raise DimensionMismatch("point %r vs ambient dimension %d" % (a, s.dim))
     top = join(a, s.small.top)
-    pts = tuple(map(Point, _box_members(s.small, top, a)))
-    return good_ideal(s, SmallSet(pts, top))
+    rows = _rows(_box_members(s.small, top, a), top)
+    return good_ideal(s, SmallSet._of_rows(rows, top))
 
 
 def is_stable(e: GoodRelativeIdeal) -> bool:
     """Is E + E = min(E) + E?
 
-    e1 + e2 - min(E) over small pairs decides it: any larger pair clamps to
-    a small pair with the same membership outcome.
+    m + E lies in E + E for m = min(E), a member, and the converse asks
+    that a + b - m be a member for all members a, b.  As a + b - m =
+    m + (a - m) + (b - m), that holds exactly when the tail T = E - m is
+    closed under sums.  Clamped at its top C(E) - m, T's membership is
+    exact, as min(y, C(E) - m) + m = min(y + m, C(E)), so one truncated-sum
+    scan of T's bit rows decides it (_tail_sum_closed), in every dimension.
     """
-    pts = e.small.points
-    m = e.min_element
-    contains = e.small.contains
-    for idx, a in enumerate(pts):
-        for b in pts[idx:]:
-            if not contains(tuple(x + y - z for x, y, z in zip(a, b, m))):
-                return False
-    return True
+    return _tail_sum_closed(e.small, e.min_element)
 
 
 def canonical_generators(s: GoodSemigroup) -> tuple:
@@ -285,17 +282,19 @@ def canonical_ideal(s: GoodSemigroup) -> GoodRelativeIdeal:
     top = s.small.top
     g0, g1 = top[0] - 1, top[1] - 1
     fiber_top = s.small.fiber_top
-    pts = tuple(
-        Point(a)
-        for a in itertools.product(range(top[0] + 1), range(top[1] + 1))
-        if fiber_top(0, g0 - a[0]) <= g1 - a[1] and fiber_top(1, g1 - a[1]) <= g0 - a[0]
-    )
-    return GoodRelativeIdeal(s, SmallSet(pts, top))
+    rows = []
+    for x in range(top[0] + 1):
+        up = fiber_top(0, g0 - x)
+        rows.append(sum(
+            1 << y for y in range(top[1] + 1)
+            if up <= g1 - y and fiber_top(1, g1 - y) <= g0 - x
+        ))
+    return GoodRelativeIdeal(s, SmallSet._of_rows(rows, top))
 
 
 def is_symmetric(s: GoodSemigroup) -> bool:
     """Does the canonical ideal coincide with the semigroup itself?"""
-    return canonical_ideal(s).small.points == s.small.points
+    return canonical_ideal(s).small == s.small
 
 
 def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:

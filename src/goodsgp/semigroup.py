@@ -11,16 +11,20 @@ candidate set X with top element T is
 and validation checks whether that reconstruction is closed under meets and
 sums, has the coordinate witness property, and uses a minimal conductor.
 
-A small set is also held as bit rows (SmallSet.rows): one int per prefix of
+A small set is stored as bit rows (SmallSet.rows): one int per prefix of
 the first n - 1 coordinates of [0, C], in itertools.product order, with bit
 y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
+Its points are derived from the rows when read.  The closures, the row fold
+of normalize_conductor and the ideal constructors build rows directly, and
+the n = 2 checks read them, so a result no caller lists holds no Points.
 
 * Membership (SmallSet.contains) is one bit of the rows: bit min(p_n, C_n)
   of the row at min(p', C'), primes dropping the last coordinate.
 * min(a + b, C) for all b of the row at prefix p is that row shifted up by
   a's last coordinate, every bit at or above C's standing for it, and it
-  lands in the row at min(p + a', C').  The sum and absorption checks and
-  the Arf test (_first_missing_sum), and the sum closure behind
+  lands in the row at min(p + a', C').  The sum and absorption checks
+  (_first_missing_sum), the Arf and stability tests (_tail_sum_closed, the
+  same scan over the rows of a shifted tail), and the sum closure behind
   closure_small and arf_saturation (_sum_closure), share this shift.
 * For n = 2 each coordinate of an iterated meet comes from one argument, so
   column x of the meet closure is the union of the columns from x on, below
@@ -42,14 +46,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
-from operator import itemgetter, lt, mul
+from operator import add, itemgetter, lt, mul, sub
 
 from .errors import (
     DimensionMismatch,
     NotGoodSemigroup,
     UnsupportedDimension,
 )
-from .lattice import Point, meet
+from .lattice import Point
 from .numerical import NumericalSemigroup, ns_from_small
 
 __all__ = [
@@ -75,41 +79,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SmallSet:
     """A finite candidate set of small elements with its top element.
 
-    Type level invariants: points are strictly increasing (so deduplicated and
-    lexicographically sorted), within [0, top], of equal dimension, and top
-    itself is present.  Whether the set actually describes a good semigroup
-    (or a good ideal) is decided by the validators, not here.
+    Stored as its bit rows and top: rows holds, per prefix p of the first
+    n - 1 coordinates of [0, top], in itertools.product order, the int with
+    bit y set exactly when (p, y) is a point; for n = 2, one int per x in
+    [0, top_0].  Equality and hashing read the rows and top.  points, the
+    sorted tuple of Points, is derived from the rows on first read; a set
+    built from points keeps the tuple it was given.
+
+    SmallSet(points, top) checks the type level invariants: points are
+    strictly increasing (so deduplicated and lexicographically sorted),
+    within [0, top], of equal dimension, and top itself is present.
+    Whether the set actually describes a good semigroup (or a good ideal)
+    is decided by the validators, not here.
     """
 
-    points: tuple
+    rows: tuple
     top: Point
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points, top):
+        points = tuple(points)
+        if not points:
             raise ValueError("empty point set")
-        n = self.top.dim
-        for p in self.points:
+        n = top.dim
+        for p in points:
             if p.dim != n:
-                raise DimensionMismatch("point %r vs top %r" % (p, self.top))
+                raise DimensionMismatch("point %r vs top %r" % (p, top))
             if any(x < 0 for x in p):
                 raise ValueError("point %r has a negative coordinate" % (p,))
-            if any(x > t for x, t in zip(p, self.top)):
-                raise ValueError("point %r exceeds the top %r" % (p, self.top))
-        if not all(map(lt, self.points, self.points[1:])):
+            if any(x > t for x, t in zip(p, top)):
+                raise ValueError("point %r exceeds the top %r" % (p, top))
+        if not all(map(lt, points, points[1:])):
             raise ValueError("points are not strictly increasing")
-        if self.points[-1] != self.top:
-            raise ValueError("top %r is not in the point set" % (self.top,))
+        if points[-1] != top:
+            raise ValueError("top %r is not in the point set" % (top,))
+        object.__setattr__(self, "rows", tuple(_rows(points, top)))
+        object.__setattr__(self, "top", top)
+        self.__dict__["points"] = points
+
+    @classmethod
+    def _of_rows(cls, rows, top) -> SmallSet:
+        """The set with the given bit rows of [0, top], a Point; the rows
+        must hold the top and no bit outside the box (not checked)."""
+        small = object.__new__(cls)
+        object.__setattr__(small, "rows", tuple(rows))
+        object.__setattr__(small, "top", top)
+        return small
 
     @cached_property
-    def rows(self) -> tuple:
-        """Per prefix p of the first n - 1 coordinates of [0, top], in
-        itertools.product order, the int with bit y set exactly when
-        (p, y) is a point; for n = 2, one int per x in [0, top_0]."""
-        return tuple(_rows(self.points, self.top))
+    def points(self) -> tuple:
+        """The points, strictly increasing, as Points."""
+        return _row_points(self.rows, self.top)
 
     @cached_property
     def _fiber_tops(self) -> tuple:
@@ -117,9 +140,14 @@ class SmallSet:
         # (highest) point with u on axis i, -inf for none, and inf where it
         # lies on the top of the other axis and so starts a ray
         t0, t1 = self.top
-        cols = [-inf] * (t0 + 1), [-inf] * (t1 + 1)
-        for x, y in self.points:
-            cols[0][x], cols[1][y] = y, x
+        cols = [r.bit_length() - 1 if r else -inf for r in self.rows], [-inf] * (t1 + 1)
+        seen = 0
+        for x in range(t0, -1, -1):  # a bit first seen from the right is its last point
+            new = self.rows[x] & ~seen
+            seen |= new
+            while new:
+                cols[1][_low_bit(new)] = x
+                new &= new - 1
         return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
 
     def fiber_top(self, axis: int, value: int):
@@ -347,6 +375,8 @@ def closure_small(gens, conductor) -> SmallSet:
         clamped.append(tuple(map(min, g, top)))
     rows = _sum_closure(clamped, top)
     rows[-1] |= 1 << top[-1]
+    if n == 2:
+        return SmallSet._of_rows(_meet_closure(rows, top), top)
     return SmallSet(_meet_closed_points(rows, top), top)
 
 
@@ -356,7 +386,9 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
     A candidate conductor m is usable when every lattice point of [m, top] is
     present.  For meet closed sets the usable region is itself a box, so
     per axis descent finds its minimum.  Points are then replaced by their
-    meets with the new top.
+    meets with the new top, a fold of the bit rows: the row at prefix p is
+    ORed into the row at min(p, m'), and its bits above m's last coordinate
+    onto that bit.
     """
     top = tuple(small.top)
     n = len(top)
@@ -379,9 +411,15 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
             while m[i] > 0 and slab_filled(i):
                 m[i] -= 1
                 changed = True
-    new_top = Point(m)
-    new_pts = sorted(set(meet(p, new_top) for p in small.points))
-    return SmallSet(tuple(new_pts), new_top)
+    if m == list(top):
+        return small
+    strides = _strides([t + 1 for t in m[:-1]])
+    rows = [0] * prod(t + 1 for t in m[:-1])
+    for p, r in zip(_prefixes(top), small.rows):
+        rows[sum(map(mul, map(min, p, m), strides))] |= r
+    last = m[-1]
+    below = (1 << last) - 1
+    return SmallSet._of_rows([r & below | 1 << last if r > below else r for r in rows], Point(m))
 
 
 def _witness_search(point_set, top, exact, floor, axis, strict_above):
@@ -430,16 +468,15 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     """
     if small.dim != 2:
         return _witness_pair_scan(small, stop_after_first)
-    pts = small.points
     tops = small._fiber_tops
     out = []
-    for a in pts:
+    for a in _row_tuples(small.rows, small.top):
         for i in (0, 1):
             j = 1 - i
             if tops[i][a[i]] <= a[j] or tops[j][a[j]] > a[i]:
                 continue
-            mate = min(b for b in pts if b[i] == a[i] and b[j] > a[j])
-            out.append(_witness_violation(a, mate, i))
+            mate = min(b for b in small.points if b[i] == a[i] and b[j] > a[j])
+            out.append(_witness_violation(Point(a), mate, i))
             if stop_after_first:
                 return out
     return out
@@ -510,9 +547,10 @@ def _meet_violations(small: SmallSet) -> list:
 
 def _meet_pair_scan(small: SmallSet) -> list:
     """_meet_violations by the scan over all pairs of points."""
-    pset = set(small.points)
-    for a in small.points:
-        for b in small.points:
+    pts = small.points
+    pset = set(pts)
+    for a in pts:
+        for b in pts:
             if tuple(map(min, a, b)) not in pset:
                 return [_meet_violation(a, b)]
     return []
@@ -555,8 +593,25 @@ def _sum_violation(a, b) -> Violation:
 
 def _sum_violations(small: SmallSet) -> list:
     """The first pair of points whose truncated sum is missing."""
-    pair = _first_missing_sum(small.rows, small.top, small.points)
-    return [] if pair is None else [_sum_violation(*pair)]
+    pair = _first_missing_sum(small.rows, small.top, _row_tuples(small.rows, small.top))
+    return [] if pair is None else [_sum_violation(Point(pair[0]), pair[1])]
+
+
+def _tail_sum_closed(small: SmallSet, a) -> bool:
+    """Is the shifted tail T = {x - a : x in small, x >= a}, a a point of
+    [0, top], closed under truncated sums at its top, top - a?
+
+    The truncation is exact, as min(y, top - a) + a = min(y + a, top), so T
+    is closed exactly when b + c - a is a member for all members b, c >= a.
+    T's bit row at prefix q is the row of small at q + a' shifted down by
+    a's last coordinate, and the sum kernel (_first_missing_sum) scans it
+    over its own points.
+    """
+    top, rows = small.top, small.rows
+    strides = _strides([t + 1 for t in top[:-1]])
+    tail_top = tuple(map(sub, top, a))
+    tail = [rows[sum(map(mul, map(add, q, a), strides))] >> a[-1] for q in _prefixes(tail_top)]
+    return _first_missing_sum(tail, tail_top, _row_tuples(tail, tail_top)) is None
 
 
 def _conductor_violations(small: SmallSet) -> list:

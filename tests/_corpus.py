@@ -173,6 +173,21 @@ def arf_triple_loop(s):
     return True
 
 
+def stable_pair_loop(e):
+    """Whether a + b - min(E) is a member for all small elements a, b of a
+    good ideal E, by the scan over every such pair: the reference for the
+    shifted-tail scan of is_stable.  Larger pairs clamp to small ones with
+    the same membership outcome."""
+    pts = e.small.points
+    m = e.min_element
+    contains = e.small.contains
+    for idx, a in enumerate(pts):
+        for b in pts[idx:]:
+            if not contains(tuple(x + y - z for x, y, z in zip(a, b, m))):
+                return False
+    return True
+
+
 def saturation_fixpoint(s, box):
     """The in-box saturation by rounds over every triple a <= b, c of
     members inside [0, box], adding b + c - a when it lies in the box, until

@@ -26,6 +26,7 @@ from goodsgp import (
     good_ideal,
     good_semigroup,
     gs_contains,
+    is_local,
     is_stable,
     is_symmetric,
     minimal_ideal_generating_system,
@@ -45,6 +46,7 @@ from _corpus import (
     ladder_duplication,
     meet_fixpoint,
     product_semigroup,
+    stable_pair_loop,
 )
 
 
@@ -206,8 +208,57 @@ def test_doubled_tail_and_stability(dup_example):
     assert data.points(doubled.small.points) == data.points(rows)
     assert tuple(doubled.small.top) == tuple(top)
     # 2E is a proper subset of m(E) + E here, so E is not stable
-    assert not is_stable(e)
-    assert is_stable(tail_ideal(dup_example, (7, 7)))
+    assert not is_stable(e) and not stable_pair_loop(e)
+    f = tail_ideal(dup_example, (7, 7))
+    assert is_stable(f) and stable_pair_loop(f)
+
+
+def _stability_cases(s, rng):
+    """Principal ideals of three small elements, the tail at every small
+    element, the doubled tails that validate and, for a local s, the
+    canonical ideal."""
+    pts = s.small.points
+    for h in rng.sample(pts, min(3, len(pts))):
+        try:
+            yield gi_from_generators(s, [h])
+        except NotGoodIdeal:
+            pass
+    for a in pts:
+        t = tail_ideal(s, a)
+        yield t
+        try:
+            yield sum_ideals(t, t)
+        except NotGoodIdeal:
+            pass
+    if is_local(s):
+        yield canonical_ideal(s)
+
+
+def test_is_stable_matches_the_pair_loop_on_random_instances():
+    rng = random.Random(6330)
+    verdicts = []
+    for s in corpus(520, 10, cap=10) + corpus(521, 8, cap=10, local_only=False):
+        for e in _stability_cases(s, rng):
+            got = is_stable(e)
+            assert got == stable_pair_loop(e), e.small
+            verdicts.append(got)
+    for s in _AMBIENTS3:
+        for a in s.small.points:
+            e = tail_ideal(s, a)
+            got = is_stable(e)
+            assert got == stable_pair_loop(e), e.small
+            verdicts.append(got)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_ideal_results_keep_only_their_rows(dup_example):
+    # the ideal constructors build their data from bit rows; the ideal
+    # readers below must not materialize the Points
+    e = tail_ideal(dup_example, (2, 2))
+    for ideal in (gi_from_generators(dup_example, [(2, 3)]), e, sum_ideals(e, e)):
+        is_stable(ideal)
+        minimal_ideal_generating_system(ideal)
+        assert "points" not in vars(ideal.small)
 
 
 def test_canonical_ideal_golden_values(arfex1, arfex2, arfex3):

@@ -81,6 +81,33 @@ def test_small_set_requires_strictly_increasing_points():
     assert SmallSet((p((0, 0)), p((2, 2))), p((2, 2))) == small_set([(2, 2), (0, 0), (2, 2)])
 
 
+def test_small_set_rejects_points_outside_its_box():
+    p = Point
+    top = p((2, 2))
+    for pts, error in [
+        ((p((0, 0)), p((3, 1)), top), ValueError),  # beyond the top
+        ((p((-1, 0)), p((0, 0)), top), ValueError),  # negative
+        ((p((0, 0)), p((1, 2))), ValueError),  # the top is missing
+        ((), ValueError),
+        ((p((0, 0)), p((1, 1, 1)), top), DimensionMismatch),
+    ]:
+        with pytest.raises(error):
+            SmallSet(pts, top)
+
+
+def test_small_set_is_held_by_its_rows(dup_example):
+    for small in (dup_example.small, product_semigroup(*PRODUCT3).small):
+        built = SmallSet(small.points, small.top)
+        from_rows = SmallSet._of_rows(small.rows, small.top)
+        assert "points" not in vars(from_rows)
+        assert built == from_rows and hash(built) == hash(from_rows)
+        assert from_rows.points == small.points  # derived from the rows
+        assert all(type(q) is Point for q in from_rows.points)
+        for name in ("rows", "top", "points"):
+            with pytest.raises(AttributeError):
+                setattr(from_rows, name, getattr(small, name))
+
+
 def test_small_set_membership_clamps_at_the_top(dup_example):
     s = dup_example.small
     assert s.contains((6, 7))
@@ -331,6 +358,7 @@ def test_row_kernel_reports_what_the_pair_scans_report_on_the_ladder(rung, axiom
     small = small_set(pts, top)
     report = validate_small_set(small)
     assert report == _pair_scan_report(small)
+    assert all(type(p) is Point for v in report.violations for p in v.witness)
     if axiom is None:
         assert report.ok
     else:
@@ -347,6 +375,7 @@ def test_row_kernel_reports_what_the_pair_scans_report_on_the_n3_product(axiom):
     small = small_set(pts, small.top)
     report = validate_small_set(small)
     assert report == _pair_scan_report(small)
+    assert all(type(p) is Point for v in report.violations for p in v.witness)
     assert report.ok == (axiom is None)
     if axiom is not None:
         assert axiom in {v.axiom for v in report.violations}
