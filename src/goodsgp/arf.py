@@ -35,7 +35,7 @@ from .numerical import (
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
-    _box_members,
+    _box_rows,
     _meet_closed_points,
     _require_dim2,
     _row_points,
@@ -146,7 +146,7 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
     box = Point(box)
     if box.dim != s.dim:
         raise DimensionMismatch("box %r vs semigroup dimension %d" % (box, s.dim))
-    members = set(_box_members(s.small, box))
+    members = set(_row_tuples(_box_rows(s.small, box), box))
     changed = True
     while changed:
         changed = False

@@ -49,8 +49,9 @@ from .numerical import ideal_from_generators, ns_from_generators
 from .plot import render_plot
 from .semigroup import (
     GoodSemigroup,
-    _box_members,
+    _box_rows,
     _meet_closed_points,
+    _row_tuples,
     _rows,
     good_semigroup,
     gs_contains,
@@ -340,7 +341,7 @@ def cmd_saturate(args) -> int:
         raise _InputError("box %s has a negative coordinate" % (tuple(box),))
     sat = arf_saturation(s, box)
     inf = [list(p) for p in _meet_closed_points(_rows(sat, box), box)]
-    closure_in_box = [list(q) for q in _box_members(closure.small, box)]
+    closure_in_box = [list(q) for q in _row_tuples(_box_rows(closure.small, box), box)]
     _emit(
         args,
         {

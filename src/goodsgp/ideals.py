@@ -21,12 +21,20 @@ sitting on the border of the box emits a ray whether or not the fiber of
 Clamping into a box is a lattice map for meets, so the clamp of [H] is the
 meet closure of the clamped sums min(h + q, corner) over h in H and the
 members q of S in the box (members beyond the box clamp onto box members,
-since the corner is at least C(S)).  The sum of two ideals is the same
-construction with the members of one ideal as H and the other ideal in
-place of S.  Both run through one bit-row routine (_clamped_sum_ideal),
-which then lowers the corner to the minimal conductor of the data and
-validates the ideal axioms; failures raise NotGoodIdeal with a witness
-report.
+since the corner is at least C(S)).  The sum of two ideals E + F is the
+same construction with the members of E as H and F in place of S.  Both
+run through one bit-row routine (_clamped_sum_ideal): the box members of
+the second operand are its box rows (semigroup._box_rows), and each point
+of the first, a generator or a small element of E, translates all of them
+at once, one shift per row.  E's members past its small elements lie on
+the rays of its border points, and a ray costs one operation per row too:
+along axis 1 it fills a shifted row from its lowest bit up, and along
+axis 0 it is a running OR across the columns.  The routine then lowers
+the corner to the minimal conductor of the data and validates the ideal
+axioms; failures raise NotGoodIdeal with a witness report.
+
+Tail ideals read their data off the ambient's rows too (_box_rows, with
+the base point as the box's low corner), in every dimension.
 
 The canonical ideal is not generated but read off its definition: the
 points a of [0, C(S)] such that no member of S shares a coordinate with
@@ -37,6 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
+from operator import or_
 
 from .errors import (
     DimensionMismatch,
@@ -50,10 +60,11 @@ from .semigroup import (
     SmallSet,
     ValidationReport,
     Violation,
-    _box_members,
+    _box_rows,
     _conductor_violations,
     _coordinate_witness_violations,
     _first_missing_sum,
+    _low_bit,
     _meet_closure,
     _meet_violations,
     _require_dim2,
@@ -144,7 +155,8 @@ def _absorption_violations(ambient: GoodSemigroup, small: SmallSet) -> list:
     """The first ambient member q of the box up to the join of both
     conductors, and then point e of the data, whose clamped sum is missing
     from the data."""
-    members = _box_members(ambient.small, join(small.top, ambient.small.top))
+    box = join(small.top, ambient.small.top)
+    members = _row_tuples(_box_rows(ambient.small, box), box)
     pair = _first_missing_sum(small.rows, small.top, members)
     return [] if pair is None else [_absorption_violation(pair[1], pair[0])]
 
@@ -162,26 +174,55 @@ def gi_contains(e: GoodRelativeIdeal, p) -> bool:
     return e.small.contains(tuple(p))
 
 
-def _clamped_sum_ideal(s: GoodSemigroup, addends, small, corner) -> GoodRelativeIdeal:
+def _clamped_sum_ideal(s: GoodSemigroup, rows, top, other: SmallSet, corner):
     """The ideal whose data is the meet closure of min(p + q, corner) over
-    the addends p and the members q of small in the box [0, corner], with
-    its corner lowered to the minimal conductor and validated.  n = 2 only.
+    the points p of the bit rows `rows` of [0, top] and the members q of
+    the set `other` reconstructs, with its corner lowered to the minimal
+    conductor and validated.  n = 2 only.  A point p with p_i = top_i
+    stands for its ray p + N e_i as well, as a small element does.
 
-    Each addend p shifts column x of the box rows of small up by p_1 into
-    column min(p_0 + x, corner_0), folding the bits from corner_1 on into
-    bit corner_1, and _meet_closure closes the resulting rows.
+    The members of other in the box are its box rows (_box_rows).  Each
+    point (x, y) ORs every box column x' of other, shifted up by y with the
+    bits from corner_1 on folded into bit corner_1, into column
+    min(x + x', corner_0); the columns from corner_0 - x on all land in
+    column corner_0 and are ORed first.  Two rules take the rays, one
+    operation per column each:
+
+    * ray along axis 1 (y = top_1): the shifted column's bits from its
+      lowest bit up to corner_1, every one of them;
+    * ray along axis 0 (x = top_0): the shifted columns go to an onward
+      array instead, whose column x is ORed into every column from x on by
+      one running OR at the end.
+
+    _meet_closure then closes the resulting rows.
     """
     c0, c1 = corner
-    below = (1 << c1) - 1
-    cols = [(x, r) for x, r in enumerate(_rows(_box_members(small, corner), corner)) if r]
-    rows = [0] * (c0 + 1)
-    for p0, p1 in addends:
-        for x, r in cols:
-            v = r << p1
-            if v > below:
-                v = v & below | 1 << c1
-            rows[min(p0 + x, c0)] |= v
-    data = SmallSet._of_rows(_meet_closure(rows, corner), corner)
+    t0, t1 = top
+    below, last = (1 << c1) - 1, 1 << c1
+    box = _box_rows(other, corner)
+    cols = [(x, g) for x, g in enumerate(box) if g]
+    rest = list(accumulate(reversed(box), or_))[::-1]  # OR of the columns from x on
+    out, onward = [0] * (c0 + 1), [0] * (c0 + 1)
+    for x, r in enumerate(rows):
+        if not r:
+            continue
+        into = onward if x == t0 else out  # the ray along axis 0
+        shifts = [(x + x2, g) for x2, g in cols if x + x2 < c0] + [(c0, rest[c0 - x])]
+        while r:
+            y = _low_bit(r)
+            r &= r - 1
+            if y == t1:  # the ray along axis 1: every bit from the lowest on
+                for i, g in shifts:
+                    into[i] |= -(g & -g) << y & below | last
+                continue
+            for i, g in shifts:
+                v = g << y
+                into[i] |= v & below | last if v > below else v
+    run = 0
+    for x, r in enumerate(onward):
+        run |= r
+        out[x] |= run
+    data = SmallSet._of_rows(_meet_closure(out, corner), corner)
     return good_ideal(s, normalize_conductor(data))
 
 
@@ -204,19 +245,23 @@ def gi_from_generators(s: GoodSemigroup, hgens) -> GoodRelativeIdeal:
 
     The small data is the clamp, into the corner box min(H) + C(S), of the
     smallest set containing every generator plus an ambient member and
-    closed under componentwise minima, by the row closure sum_ideals also
-    uses (_clamped_sum_ideal); the corner is then lowered while the data
-    between it and the old corner stays complete, and the result
-    validated.  The corner is the natural conductor bound of the closure,
-    and for a principal generator, for generators containing zero, and for
-    the canonical families it is the exact conductor.  The clamp can fail
-    the ideal axioms (most often the shared coordinate witness, when a
-    fiber of the closure stops below the corner), in which case
-    NotGoodIdeal carries the report.
+    closed under componentwise minima.  Each generator, clamped to the
+    corner, translates the box rows of S once, by the row routine
+    sum_ideals also uses (_clamped_sum_ideal); generators take no rays.
+    The corner is then lowered while the data between it and the old
+    corner stays complete, and the result validated.  The corner is the
+    natural conductor bound of the closure, and for a principal generator,
+    for generators containing zero, and for the canonical families it is
+    the exact conductor.  The clamp can fail the ideal axioms (most often
+    the shared coordinate witness, when a fiber of the closure stops below
+    the corner), in which case NotGoodIdeal carries the report.
     """
     gens = _check_ideal_generators(s, hgens)
     corner = reduce(meet, gens) + s.small.top
-    return _clamped_sum_ideal(s, gens, s.small, corner)
+    # with the corner as top, a generator clamped onto the corner's line
+    # takes a ray, but every translate along it clamps back onto the line
+    clamped = [tuple(map(min, h, corner)) for h in gens]
+    return _clamped_sum_ideal(s, _rows(clamped, corner), corner, s.small, corner)
 
 
 def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
@@ -225,8 +270,7 @@ def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
     if a.dim != s.dim:
         raise DimensionMismatch("point %r vs ambient dimension %d" % (a, s.dim))
     top = join(a, s.small.top)
-    rows = _rows(_box_members(s.small, top, a), top)
-    return good_ideal(s, SmallSet._of_rows(rows, top))
+    return good_ideal(s, SmallSet._of_rows(_box_rows(s.small, top, a), top))
 
 
 def is_stable(e: GoodRelativeIdeal) -> bool:
@@ -304,8 +348,10 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     contribute sums its small elements cannot reach.  Inside the corner box
     C(E) + C(F) the sum set is exactly the clamped sums of in box members,
     and a meet realizes each coordinate through one pair, so the data is
-    the row closure _clamped_sum_ideal of E's box members over F, the one
-    gi_from_generators also uses.
+    the row closure _clamped_sum_ideal, the one gi_from_generators also
+    uses: each small element of E translates F's box rows once, and E's
+    border points add their rays by the two ray rules, one operation per
+    row each.
     """
     if e.ambient != f.ambient:
         raise ValueError("ideal sum requires a common ambient semigroup")
@@ -313,4 +359,4 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     if s.dim != 2:
         raise UnsupportedDimension("ideal sums are implemented for n = 2 only")
     corner = e.small.top + f.small.top
-    return _clamped_sum_ideal(s, _box_members(e.small, corner), f.small, corner)
+    return _clamped_sum_ideal(s, e.small.rows, e.small.top, f.small, corner)

@@ -17,6 +17,8 @@ y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 Its points are derived from the rows when read.  The closures, the row fold
 of normalize_conductor and the ideal constructors build rows directly, and
 the n = 2 checks read them, so a result no caller lists holds no Points.
+The members of a box, rays and cone included, are read off the rows too
+(_box_rows), by the tail, sum, absorption, subset and saturation routines.
 
 * Membership (SmallSet.contains) is one bit of the rows: bit min(p_n, C_n)
   of the row at min(p', C'), primes dropping the last coordinate.
@@ -36,8 +38,9 @@ they replace; only the meet and witness pair scans, and a pairwise meet
 fixpoint, remain for n != 2.  The zero check reads the first point and the
 conductor check reads membership, in every dimension.  Fiber queries
 (fiber_reaches, the witness check, canonical ideals and minimal generating
-systems) all read the fiber tops of SmallSet (fiber_top), the one place
-that holds the ray rule.
+systems) all read one fiber-top table (_fiber_top_table), the one place
+that holds the ray rule; queries read it cached (SmallSet.fiber_top), and
+the witness check builds it afresh, so validated data keeps only its rows.
 """
 
 from __future__ import annotations
@@ -136,19 +139,7 @@ class SmallSet:
 
     @cached_property
     def _fiber_tops(self) -> tuple:
-        # per axis i and u in [0, top_i], the other coordinate of the last
-        # (highest) point with u on axis i, -inf for none, and inf where it
-        # lies on the top of the other axis and so starts a ray
-        t0, t1 = self.top
-        cols = [r.bit_length() - 1 if r else -inf for r in self.rows], [-inf] * (t1 + 1)
-        seen = 0
-        for x in range(t0, -1, -1):  # a bit first seen from the right is its last point
-            new = self.rows[x] & ~seen
-            seen |= new
-            while new:
-                cols[1][_low_bit(new)] = x
-                new &= new - 1
-        return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
+        return _fiber_top_table(self.rows, self.top)
 
     def fiber_top(self, axis: int, value: int):
         """n = 2 only: the largest other coordinate of a member of the
@@ -173,6 +164,23 @@ class SmallSet:
         for x, t in zip(head, top):  # the row index, in row-major order
             i = i * (t + 1) + x
         return self.rows[i] >> y & 1 == 1
+
+
+def _fiber_top_table(rows, top) -> tuple:
+    """n = 2: per axis i and u in [0, top_i], the other coordinate of the
+    last (highest) point of the bit rows of [0, top] with u on axis i, -inf
+    for none, and inf where it lies on the top of the other axis and so
+    starts a ray."""
+    t0, t1 = top
+    cols = [r.bit_length() - 1 if r else -inf for r in rows], [-inf] * (t1 + 1)
+    seen = 0
+    for x in range(t0, -1, -1):  # a bit first seen from the right is its last point
+        new = rows[x] & ~seen
+        seen |= new
+        while new:
+            cols[1][_low_bit(new)] = x
+            new &= new - 1
+    return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
 
 
 def small_set(points, top=None) -> SmallSet:
@@ -266,6 +274,31 @@ def _rows(points, top) -> list:
         for p in group:
             rows[i] |= 1 << p[-1]
     return rows
+
+
+def _box_rows(small: SmallSet, bound, low=None) -> list:
+    """The bit rows, over [0, bound], of the members of the set small
+    reconstructs inside the box [low, bound], low 0 when omitted (any
+    integer point).
+
+    The row at prefix q is small's row at min(q, top'), its top bit
+    extended over [top_n, bound_n] (the ray along the last axis) and
+    masked to [low_n, bound_n]; prefixes below low' are empty.
+    """
+    *head, last = small.top
+    low = low or (0,) * len(bound)
+    bits = (1 << max(bound[-1] + 1, 0)) - 1
+    ray = bits >> last << last
+    floor = max(low[-1], 0)
+    mask = bits >> floor << floor
+    rows = [(r | ray if r >> last & 1 else r) & mask for r in small.rows]
+    rows.append(0)  # the row of every prefix below low'
+    size = len(rows) - 1
+    offsets = [
+        [size if x < lo else min(x, t) * s for x in range(b + 1)]
+        for t, s, lo, b in zip(head, _strides([t + 1 for t in head]), low, bound)
+    ]
+    return [rows[min(sum(o), size)] for o in itertools.product(*offsets)]
 
 
 def _row_tuples(rows, top):
@@ -468,7 +501,9 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     """
     if small.dim != 2:
         return _witness_pair_scan(small, stop_after_first)
-    tops = small._fiber_tops
+    # not the cached table: validated data, ideal data above all, keeps
+    # only its rows
+    tops = _fiber_top_table(small.rows, small.top)
     out = []
     for a in _row_tuples(small.rows, small.top):
         for i in (0, 1):
@@ -679,23 +714,15 @@ def gs_contains(s: GoodSemigroup, p) -> bool:
     return s.small.contains(Point(p))
 
 
-def _box_members(small: SmallSet, bound, low=None):
-    """Members of the set small describes inside the box [low, bound], low
-    0 when omitted, in itertools.product order."""
-    low = low or (0,) * len(bound)
-    for q in itertools.product(*(range(a, b + 1) for a, b in zip(low, bound))):
-        if small.contains(q):
-            yield q
-
-
 def _small_subset(a: SmallSet, b: SmallSet) -> bool:
     """Whether the set a reconstructs lies inside the one b reconstructs.
 
     Both agree with their periodic continuation past the join of the tops,
-    so containment is decided on the box reaching one step beyond it.
+    so containment is decided on the box reaching one step beyond it, row
+    by row (_box_rows).
     """
     bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
-    return all(b.contains(p) for p in _box_members(a, bound))
+    return not any(x & ~y for x, y in zip(_box_rows(a, bound), _box_rows(b, bound)))
 
 
 def gs_subset(s: GoodSemigroup, t: GoodSemigroup) -> bool:

@@ -133,6 +133,16 @@ def product_semigroup(*factors):
     return good_semigroup(small_set(pts, tuple(f.conductor for f in ns)))
 
 
+def box_members(small, bound, low=None):
+    """Members of the set small describes inside the box [low, bound], low
+    0 when omitted, in itertools.product order, by one membership test per
+    box point: the reference for semigroup._box_rows."""
+    low = low or (0,) * len(bound)
+    for q in itertools.product(*(range(a, b + 1) for a, b in zip(low, bound))):
+        if small.contains(q):
+            yield q
+
+
 def sum_pair_scan(small):
     """The sum check by the scan over all pairs of points: the reference,
     witness order included, for the row kernel of semigroup._sum_violations."""
@@ -151,7 +161,7 @@ def absorption_pair_scan(ambient, small):
     ideals._absorption_violations."""
     pset = set(small.points)
     top = tuple(small.top)
-    for q in semigroup._box_members(ambient.small, join(small.top, ambient.small.top)):
+    for q in box_members(ambient.small, join(small.top, ambient.small.top)):
         for e in small.points:
             if tuple(min(x + y, c) for x, y, c in zip(e, q, top)) not in pset:
                 return [ideals._absorption_violation(e, q)]
@@ -192,7 +202,7 @@ def saturation_fixpoint(s, box):
     """The in-box saturation by rounds over every triple a <= b, c of
     members inside [0, box], adding b + c - a when it lies in the box, until
     a round adds nothing: the reference for arf_saturation."""
-    members = set(semigroup._box_members(s.small, box))
+    members = set(box_members(s.small, box))
     changed = True
     while changed:
         changed = False

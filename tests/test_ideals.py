@@ -42,6 +42,7 @@ from goodsgp import ideals, semigroup
 import _data as data
 from _corpus import (
     absorption_pair_scan,
+    box_members,
     corpus,
     ladder_duplication,
     meet_fixpoint,
@@ -103,6 +104,27 @@ def test_tail_ideals_of_the_duplication_example(dup_example):
     e = tail_ideal(dup_example, (2, 2))
     assert all(x >= 2 and y >= 2 for x, y in e.small.points)
     assert tuple(e.min_element) == (2, 2)
+
+
+def _brute_tail(s, a):
+    """The tail at a by one membership test per point of [a, join(a, C)]."""
+    top = tuple(map(max, a, s.conductor))
+    return small_set(box_members(s.small, top, a), top)
+
+
+def test_tails_at_points_off_the_conductor_box():
+    d = ladder_duplication(13)
+    # a negative coordinate bounds nothing, and a base past the conductor
+    # raises the tail's top to it
+    assert tail_ideal(d, (-1, 2)) == tail_ideal(d, (0, 2))
+    assert tail_ideal(d, (20, 4)).small.top == (20, 13)
+    for s in (d, ladder_duplication(31)) + _AMBIENTS3:
+        c = s.conductor
+        n = len(c)
+        bases = [(-1,) + (2,) * (n - 1), (20,) + (4,) * (n - 1), (-2,) * n,
+                 tuple(x + 3 for x in c)] + list(s.small.points[::7])
+        for a in bases:
+            assert tail_ideal(s, a).small == _brute_tail(s, a), a
 
 
 def test_tail_membership_is_restriction(dup_example):
@@ -175,11 +197,13 @@ def _sum_outcome(e, f):
 def test_sum_ideals_matches_the_brute_sum_on_random_instances():
     rng = random.Random(6320)
     outcomes = set()
-    for s in corpus(519, 12, cap=9):
+    for s in corpus(519, 12, cap=9) + corpus(522, 6, cap=9, local_only=False):
         pts = s.small.points
+        off = [p for p in pts if p[0] != p[1]] or pts  # off-diagonal tails
         principal = [gi_from_generators(s, [rng.choice(pts)]) for _ in range(2)]
-        tails = [tail_ideal(s, rng.choice(pts)) for _ in range(2)]
-        for e, f in [principal, tails, (tails[0], tails[0]), (principal[0], tails[1])]:
+        tails = [tail_ideal(s, rng.choice(pts)), tail_ideal(s, rng.choice(off))]
+        for e, f in [principal, tails, (tails[0], tails[0]), (principal[0], tails[1]),
+                     (tails[1], principal[1])]:
             got = _sum_outcome(e, f)
             assert got == _brute_sum(e, f)
             outcomes.add(got[1].ok)
@@ -252,13 +276,14 @@ def test_is_stable_matches_the_pair_loop_on_random_instances():
 
 
 def test_ideal_results_keep_only_their_rows(dup_example):
-    # the ideal constructors build their data from bit rows; the ideal
-    # readers below must not materialize the Points
+    # the ideal constructors build their data from bit rows; neither their
+    # validation nor the ideal readers below may leave the Points or any
+    # other table on the data
     e = tail_ideal(dup_example, (2, 2))
     for ideal in (gi_from_generators(dup_example, [(2, 3)]), e, sum_ideals(e, e)):
         is_stable(ideal)
         minimal_ideal_generating_system(ideal)
-        assert "points" not in vars(ideal.small)
+        assert set(vars(ideal.small)) == {"rows", "top"}
 
 
 def test_canonical_ideal_golden_values(arfex1, arfex2, arfex3):

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goodsgp import (
     DimensionMismatch,
     NotGoodSemigroup,
     Point,
     SmallSet,
+    arf_closure,
     brute_member,
     closure_small,
     delta_fiber_nonempty,
@@ -37,6 +39,7 @@ from goodsgp import semigroup
 import _data as data
 from _corpus import (
     PRODUCT3,
+    box_members,
     corpus,
     corrupt,
     ladder_duplication,
@@ -242,6 +245,36 @@ def test_subset_and_equality(dup_example, dup35):
     assert not gs_subset(n2, dup_example)
 
 
+def _brute_subset(s, t):
+    """Containment by membership on the box reaching two steps past the
+    join of both conductors."""
+    box = itertools.product(*(range(max(x, y) + 3) for x, y in zip(s.conductor, t.conductor)))
+    return all(
+        brute_member(t.small.points, t.conductor, p)
+        for p in box
+        if brute_member(s.small.points, s.conductor, p)
+    )
+
+
+def test_gs_subset_matches_brute_containment_on_random_pairs():
+    rng = random.Random(6340)
+    plane = corpus(517, 30, cap=10) + corpus(523, 10, cap=10, local_only=False)
+    pairs = [tuple(rng.sample(plane, 2)) for _ in range(40)]
+    for s in plane[:10]:
+        if is_local(s):
+            pairs += [(s, arf_closure(s)), (arf_closure(s), s)]
+    factors = ([2, 3], [2, 5], [3, 4], [3, 5], [4, 5, 7])
+    space = [product_semigroup(*rng.sample(factors, 3)) for _ in range(8)]
+    space.append(product_semigroup([2, 3], [2, 3], [2, 3]))
+    pairs += [tuple(rng.sample(space, 2)) for _ in range(30)]
+    verdicts = []
+    for s, t in pairs:
+        got = gs_subset(s, t)
+        assert got == _brute_subset(s, t), (s.small, t.small)
+        verdicts.append((s.dim, got))
+    assert {(2, True), (2, False), (3, True), (3, False)} <= set(verdicts)
+
+
 def test_borders_of_the_duplication_example(dup_example):
     assert borders(dup_example, (0,)) == (Point((8, 6)), Point((8, 8)))
     assert borders(dup_example, (1,)) == (Point((6, 8)), Point((8, 8)))
@@ -346,6 +379,41 @@ def test_fiber_top_witness_test_matches_the_pair_scan(small):
     scan = semigroup._witness_pair_scan(small, stop_after_first=False)
     assert {(v.witness[0], v.axis) for v in fast} == {(v.witness[0], v.axis) for v in scan}
     assert set(fast) <= set(scan)
+
+
+@st.composite
+def _boxes(draw):
+    """A small set in N^2 or N^3 and a box [low, bound] to read it in: the
+    bound below, at or past the top on each axis, low omitted or anywhere
+    from negative to past the bound."""
+    small = draw(st.one_of(_boxed_subsets(), _boxed_subsets(side=3, dim=3), _thinned_semigroups()))
+    bound = tuple(draw(st.integers(0, t + 3)) for t in small.top)
+    low = draw(st.none() | st.tuples(*(st.integers(-2, b + 1) for b in bound)))
+    return small, bound, low
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_boxes())
+@example((ladder_duplication(13).small, (8, 8), None))  # goodsgp saturate --box 8,8
+@example((ladder_duplication(13).small, (20, 13), (20, 4)))
+@example((ladder_duplication(13).small, (13, 13), (-1, 2)))
+def test_box_rows_match_the_membership_scan(case):
+    small, bound, low = case
+    assert semigroup._box_rows(small, bound, low) == semigroup._rows(
+        box_members(small, bound, low), bound
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.one_of(
+    st.tuples(_boxed_subsets(side=5), _boxed_subsets(side=5)),
+    st.tuples(_boxed_subsets(side=3, dim=3), _boxed_subsets(side=3, dim=3)),
+    st.tuples(_thinned_semigroups(), _thinned_semigroups()),
+))
+def test_small_subset_matches_the_membership_scan(pair):
+    a, b = pair
+    bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
+    assert semigroup._small_subset(a, b) == all(map(b.contains, box_members(a, bound)))
 
 
 @pytest.mark.parametrize("axiom", [None, "zero", "meet", "sum", "witness", "conductor"])
