@@ -63,8 +63,8 @@ def is_arf(s: GoodSemigroup) -> bool:
     """Is b + c - a a member for all members a <= b, a <= c?
 
     Exactly when the shifted tail T_a of every small element a is closed
-    under truncated sums (see the module docstring), which one scan of
-    T_a's bit rows at top C - a decides (_tail_sum_closed).
+    under truncated sums (see the module docstring), which the product test
+    of T_a's bit rows at top C - a decides (_tail_sum_closed).
     """
     small = s.small
     return all(_tail_sum_closed(small, a) for a in _row_tuples(small.rows, small.top))

@@ -197,6 +197,11 @@ def _emit(args, payload: dict):
             print("%s: %s" % (key, _fmt_value(payload[key])))
 
 
+def _small_points(small) -> list:
+    """The points of a small set as tuples, read off its rows."""
+    return list(_row_tuples(small.rows, small.top))
+
+
 def cmd_check(args) -> int:
     doc = _load_doc(args.input)
     try:
@@ -215,20 +220,20 @@ def cmd_check(args) -> int:
             ],
         }
         if exc.small is not None:
-            payload["small"] = list(exc.small.points)
+            payload["small"] = _small_points(exc.small)
             payload["conductor"] = list(exc.small.top)
         _emit(args, payload)
         return EXIT_INVALID
     except ConstructionError as exc:
         _emit(args, {"valid": False, "error": str(exc)})
         return EXIT_INVALID
-    _emit(args, {"valid": True, "small": list(s.small.points), "conductor": list(s.conductor)})
+    _emit(args, {"valid": True, "small": _small_points(s.small), "conductor": list(s.conductor)})
     return EXIT_OK
 
 
 def cmd_small(args) -> int:
     s = build_semigroup(_load_doc(args.input))
-    _emit(args, {"small": list(s.small.points), "conductor": list(s.conductor)})
+    _emit(args, {"small": _small_points(s.small), "conductor": list(s.conductor)})
     return EXIT_OK
 
 
@@ -239,7 +244,7 @@ def cmd_construct(args) -> int:
         args,
         {
             "kind": doc.get("kind", "generators"),
-            "small": list(s.small.points),
+            "small": _small_points(s.small),
             "conductor": list(s.conductor),
             "local": is_local(s),
         },

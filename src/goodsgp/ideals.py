@@ -64,6 +64,7 @@ from .semigroup import (
     _conductor_violations,
     _coordinate_witness_violations,
     _first_missing_sum,
+    _fold_rows,
     _low_bit,
     _meet_closure,
     _meet_violations,
@@ -125,10 +126,11 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
 
     Absorption adds every ambient member q of the box up to the join of both
     conductors to the data; beyond it every sum clamps to one already
-    checked.  Each q is tested against all of the data at once by a scan
-    over the data's bit rows (_first_missing_sum), and the witness is the
-    first q, in box order, with the first point e whose clamped sum with q
-    is missing.
+    checked.  The box rows of those members, folded onto [0, C(E)], and the
+    data's rows decide by one product per pair of rows whether a clamped
+    sum is missing (_first_missing_sum); only then is the witness named:
+    the first q, in box order, with the first point e whose clamped sum
+    with q is missing.
     """
     if ambient.dim != small.dim:
         raise DimensionMismatch(
@@ -154,10 +156,12 @@ def _absorption_violation(e, q) -> Violation:
 def _absorption_violations(ambient: GoodSemigroup, small: SmallSet) -> list:
     """The first ambient member q of the box up to the join of both
     conductors, and then point e of the data, whose clamped sum is missing
-    from the data."""
+    from the data.  Folding q onto min(q, C(E)) keeps every clamped sum, as
+    min(e + min(q, C(E)), C(E)) = min(e + q, C(E))."""
     box = join(small.top, ambient.small.top)
-    members = _row_tuples(_box_rows(ambient.small, box), box)
-    pair = _first_missing_sum(small.rows, small.top, members)
+    rows = _box_rows(ambient.small, box)
+    folded = _fold_rows(rows, box, small.top)
+    pair = _first_missing_sum(small.rows, small.top, _row_tuples(rows, box), folded)
     return [] if pair is None else [_absorption_violation(pair[1], pair[0])]
 
 
@@ -280,8 +284,8 @@ def is_stable(e: GoodRelativeIdeal) -> bool:
     that a + b - m be a member for all members a, b.  As a + b - m =
     m + (a - m) + (b - m), that holds exactly when the tail T = E - m is
     closed under sums.  Clamped at its top C(E) - m, T's membership is
-    exact, as min(y, C(E) - m) + m = min(y + m, C(E)), so one truncated-sum
-    scan of T's bit rows decides it (_tail_sum_closed), in every dimension.
+    exact, as min(y, C(E) - m) + m = min(y + m, C(E)), so the product test
+    of T's bit rows decides it (_tail_sum_closed), in every dimension.
     """
     return _tail_sum_closed(e.small, e.min_element)
 

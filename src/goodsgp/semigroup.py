@@ -24,10 +24,16 @@ The members of a box, rays and cone included, are read off the rows too
   of the row at min(p', C'), primes dropping the last coordinate.
 * min(a + b, C) for all b of the row at prefix p is that row shifted up by
   a's last coordinate, every bit at or above C's standing for it, and it
-  lands in the row at min(p + a', C').  The sum and absorption checks
-  (_first_missing_sum), the Arf and stability tests (_tail_sum_closed, the
-  same scan over the rows of a shifted tail), and the sum closure behind
-  closure_small and arf_saturation (_sum_closure), share this shift.
+  lands in the row at min(p + a', C').  The sum closure behind
+  closure_small and arf_saturation (_sum_closure) ORs these shifts, and
+  the sum and absorption checks name their first missing sum by them
+  (_first_missing_sum).
+* Whether some truncated sum is missing at all is one integer product per
+  pair of rows (_some_sum_missing): spread into slots, the product of two
+  rows counts, per slot, the pairs of bits summing to it, and its nonzero
+  slots must lie in the target row.  The sum and absorption checks run it
+  before naming a witness, and the Arf and stability tests
+  (_tail_sum_closed) run it alone on the rows of a shifted tail.
 * For n = 2 each coordinate of an iterated meet comes from one argument, so
   column x of the meet closure is the union of the columns from x on, below
   the highest bit of column x (_meet_closure), and a set is meet closed
@@ -35,8 +41,8 @@ The members of a box, rays and cone included, are read off the rows too
 
 The checks report the same witnesses, in the same order, as the pair scans
 they replace; only the meet and witness pair scans, and a pairwise meet
-fixpoint, remain for n != 2.  The zero check reads the first point and the
-conductor check reads membership, in every dimension.  Fiber queries
+fixpoint, remain for n != 2.  The zero check reads bit 0 of the first row
+and the conductor check reads membership, in every dimension.  Fiber queries
 (fiber_reaches, the witness check, canonical ideals and minimal generating
 systems) all read one fiber-top table (_fiber_top_table), the one place
 that holds the ray rule; queries read it cached (SmallSet.fiber_top), and
@@ -49,7 +55,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
-from operator import add, itemgetter, lt, mul, sub
+from operator import add, gt, itemgetter, lt, mul, sub
 
 from .errors import (
     DimensionMismatch,
@@ -187,16 +193,27 @@ def small_set(points, top=None) -> SmallSet:
     """Normalize raw point data into a SmallSet.
 
     With top omitted, the componentwise maximum of the points is used; it
-    must itself be one of the points.
+    must itself be one of the points.  The rows are built from the points
+    directly; data failing a check of SmallSet goes through SmallSet, in
+    point order, for its error.
     """
-    pts = sorted(set(Point(p) for p in points))
+    pts = set()
+    for p in points:
+        q = tuple(map(int, p))
+        if not q:
+            raise ValueError("a point needs at least one coordinate")
+        pts.add(q)
     if not pts:
         raise ValueError("empty point set")
-    if top is None:
-        top = Point(max(x) for x in zip(*pts))
-    else:
-        top = Point(top)
-    return SmallSet(tuple(pts), top)
+    top = Point(map(max, zip(*pts)) if top is None else top)
+    if (
+        {len(p) for p in pts} != {len(top)}
+        or min(map(min, pts)) < 0
+        or any(map(gt, map(max, zip(*pts)), top))
+        or top not in pts
+    ):
+        return SmallSet(sorted(map(Point, pts)), top)
+    return SmallSet._of_rows(_rows(pts, top), top)
 
 
 @dataclass(frozen=True)
@@ -266,13 +283,12 @@ def _strides(sides) -> list:
 
 
 def _rows(points, top) -> list:
-    """The bit rows of points inside [0, top] (see SmallSet.rows)."""
+    """The bit rows of points inside [0, top] (see SmallSet.rows), in any
+    order."""
     sides = [max(t + 1, 0) for t in top[:-1]]
     strides, rows = _strides(sides), [0] * prod(sides)
-    for head, group in itertools.groupby(points, _head):
-        i = sum(map(mul, head, strides))
-        for p in group:
-            rows[i] |= 1 << p[-1]
+    for p in points:
+        rows[sum(map(mul, p, strides))] |= 1 << p[-1]
     return rows
 
 
@@ -299,6 +315,19 @@ def _box_rows(small: SmallSet, bound, low=None) -> list:
         for t, s, lo, b in zip(head, _strides([t + 1 for t in head]), low, bound)
     ]
     return [rows[min(sum(o), size)] for o in itertools.product(*offsets)]
+
+
+def _fold_rows(rows, top, m) -> list:
+    """The bit rows of [0, m] of min(p, m) over the points p of the bit
+    rows of [0, top], m <= top: the row at prefix p is ORed into the row at
+    min(p, m'), and its bits above m's last coordinate onto that bit."""
+    strides = _strides([t + 1 for t in m[:-1]])
+    out = [0] * prod(t + 1 for t in m[:-1])
+    for p, r in zip(_prefixes(top), rows):
+        out[sum(map(mul, map(min, p, m), strides))] |= r
+    last = m[-1]
+    below = (1 << last) - 1
+    return [r & below | 1 << last if r > below else r for r in out]
 
 
 def _row_tuples(rows, top):
@@ -419,9 +448,7 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
     A candidate conductor m is usable when every lattice point of [m, top] is
     present.  For meet closed sets the usable region is itself a box, so
     per axis descent finds its minimum.  Points are then replaced by their
-    meets with the new top, a fold of the bit rows: the row at prefix p is
-    ORed into the row at min(p, m'), and its bits above m's last coordinate
-    onto that bit.
+    meets with the new top, a fold of the bit rows (_fold_rows).
     """
     top = tuple(small.top)
     n = len(top)
@@ -446,13 +473,7 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
                 changed = True
     if m == list(top):
         return small
-    strides = _strides([t + 1 for t in m[:-1]])
-    rows = [0] * prod(t + 1 for t in m[:-1])
-    for p, r in zip(_prefixes(top), small.rows):
-        rows[sum(map(mul, map(min, p, m), strides))] |= r
-    last = m[-1]
-    below = (1 << last) - 1
-    return SmallSet._of_rows([r & below | 1 << last if r > below else r for r in rows], Point(m))
+    return SmallSet._of_rows(_fold_rows(small.rows, top, m), Point(m))
 
 
 def _witness_search(point_set, top, exact, floor, axis, strict_above):
@@ -510,11 +531,20 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
             j = 1 - i
             if tops[i][a[i]] <= a[j] or tops[j][a[j]] > a[i]:
                 continue
-            mate = min(b for b in small.points if b[i] == a[i] and b[j] > a[j])
-            out.append(_witness_violation(Point(a), mate, i))
+            out.append(_witness_violation(Point(a), _fiber_mate(small.rows, a, i), i))
             if stop_after_first:
                 return out
     return out
+
+
+def _fiber_mate(rows, a, i) -> Point:
+    """n = 2: the least point b of the bit rows after a with b_i = a_i, in
+    lexicographic order: up column a_0 for i = 0, right along row a_1 for
+    i = 1."""
+    x, y = a
+    if i == 0:
+        return Point((x, _low_bit(rows[x] >> y + 1 << y + 1)))
+    return Point((next(u for u in range(x + 1, len(rows)) if rows[u] >> y & 1), y))
 
 
 def _witness_pair_scan(small: SmallSet, stop_after_first=True) -> list:
@@ -591,18 +621,84 @@ def _meet_pair_scan(small: SmallSet) -> list:
     return []
 
 
-def _first_missing_sum(rows, top, addends):
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bytes 0 and 1
+
+
+def _some_sum_missing(rows, top, addend_rows=None) -> bool:
+    """Is min(a + b, top) missing from the bit rows of [0, top] for a point
+    b of them and a point a of addend_rows, bit rows of [0, top] too (the
+    rows themselves when omitted)?
+
+    The last coordinates of the sums of the row at prefix p and the row at
+    prefix q are the support of the product of the two rows read as
+    polynomials, and they land in the row at min(p + q, top') (_padding).
+    Spread into k-bit slots, one integer product per pair of rows counts,
+    per slot, the pairs of bits that sum to it (Kronecker substitution).
+    The slots are whole bytes, the fewest with top_n + 1 <= 2^(k - 1): a
+    count is at most top_n + 1, so no slot carries, and adding 2^(k - 1) - 1
+    to every slot sets its high bit exactly when the count is nonzero.  A
+    row is spread by writing its binary digits as bytes, so no table is
+    built or kept.  A sum is missing when such a bit meets the target row's
+    missing mask: the slots below top_n where the row lacks the bit, and
+    every slot from top_n to 2 top_n when it lacks bit top_n.  The sums with
+    a union of rows are the union of the sums, so the partner rows of one
+    addend row that share a target row are ORed into one factor: one
+    product per addend row and target row.  The pairs of the rows with
+    themselves go unordered, as both their sums and their targets are
+    symmetric.
+    """
+    last = top[-1]
+    size = ((last + 1).bit_length() + 8) // 8  # bytes per slot
+    k = 8 * size
+
+    def spread(r):  # bit i of r to bit k i: its binary digits as bytes
+        digits = format(r, "b").encode().translate(_BIT_BYTES)
+        if size > 1:
+            digits, bits = bytearray(len(digits) * size), digits
+            digits[size - 1 :: size] = bits
+        return int.from_bytes(digits, "big")
+
+    ones = ((1 << k * (2 * last + 1)) - 1) // ((1 << k) - 1)  # 1 in every slot of a product
+    low = ones & ((1 << k * last) - 1)
+    high = ones ^ low
+    bias = ones * ((1 << k - 1) - 1)  # sets a slot's high bit when its count is nonzero
+    _, offsets, clamp = _padding(top)
+    spreads = [spread(r) for r in rows]
+    missing = [(low & ~v | (0 if r >> last & 1 else high)) << k - 1 for r, v in zip(rows, spreads)]
+    cols = [(o, v) for o, v in zip(offsets, spreads) if v]
+    if addend_rows is None:
+        pairs = ((cols[i], cols[i:]) for i in range(len(cols)))
+    else:
+        pairs = (((o, spread(r)), cols) for o, r in zip(offsets, addend_rows) if r)
+    for (o, a), partners in pairs:
+        into, factors = clamp[o:], {}
+        for o2, b in partners:  # partners sharing a target row share a product
+            t = into[o2]
+            factors[t] = factors.get(t, 0) | b
+        for t, b in factors.items():
+            m = missing[t]
+            if m and (a * b + bias) & m:
+                return True
+    return False
+
+
+def _first_missing_sum(rows, top, addends, addend_rows=None):
     """The first a of addends, then the first point b of the bit rows of
     [0, top], such that min(a + b, top) is not a point, as (a, b); None
-    when there is none.
+    when there is none.  addend_rows are the bit rows of [0, top] of the
+    addends clamped to top; omitted, the addends are the points of rows.
 
-    The row at prefix p, shifted up by a's last coordinate, must lie in the
-    row at min(p + a', top') (_padding).  A shifted bit at or above top's
-    last coordinate stands for it, so a target row counts every bit from
-    there on as missing when it lacks that top bit, and none of them
-    otherwise; then b's last coordinate is the lowest missing bit minus a's
-    whether or not its sum was clamped.
+    The product test (_some_sum_missing) decides whether there is such a
+    pair; only then does the ordered scan name the first.  The row at
+    prefix p, shifted up by a's last coordinate, must lie in the row at
+    min(p + a', top') (_padding).  A shifted bit at or above top's last
+    coordinate stands for it, so a target row counts every bit from there
+    on as missing when it lacks that top bit, and none of them otherwise;
+    then b's last coordinate is the lowest missing bit minus a's whether or
+    not its sum was clamped.
     """
+    if not _some_sum_missing(rows, top, addend_rows):
+        return None
     last = top[-1]
     below = (1 << last) - 1
     strides, offsets, clamp = _padding(top)
@@ -639,14 +735,14 @@ def _tail_sum_closed(small: SmallSet, a) -> bool:
     The truncation is exact, as min(y, top - a) + a = min(y + a, top), so T
     is closed exactly when b + c - a is a member for all members b, c >= a.
     T's bit row at prefix q is the row of small at q + a' shifted down by
-    a's last coordinate, and the sum kernel (_first_missing_sum) scans it
-    over its own points.
+    a's last coordinate, and the product test (_some_sum_missing) decides
+    it.
     """
     top, rows = small.top, small.rows
     strides = _strides([t + 1 for t in top[:-1]])
     tail_top = tuple(map(sub, top, a))
     tail = [rows[sum(map(mul, map(add, q, a), strides))] >> a[-1] for q in _prefixes(tail_top)]
-    return _first_missing_sum(tail, tail_top, _row_tuples(tail, tail_top)) is None
+    return not _some_sum_missing(tail, tail_top)
 
 
 def _conductor_violations(small: SmallSet) -> list:
@@ -677,7 +773,7 @@ def validate_small_set(small: SmallSet) -> ValidationReport:
     witness property, and minimality of the conductor.
     """
     violations = []
-    if any(small.points[0]):  # points are sorted, so 0 comes first
+    if not small.rows[0] & 1:  # bit 0 of the row at prefix 0
         violations.append(Violation("zero", (), None, "0 is not a member"))
     violations.extend(_meet_violations(small))
     violations.extend(_sum_violations(small))
@@ -759,10 +855,12 @@ def is_local(s: GoodSemigroup) -> bool:
         return True
     if all(t == 0 for t in s.small.top):
         return False  # the whole lattice: every axis point is a member
-    for p in s.small.points:
-        if any(p) and min(p) == 0:
-            return False
-    return True
+    # the bits a row may not hold: bit 0 under a prefix with no zero, all
+    # but bit 0 under the zero prefix, and every bit under the others
+    return not any(
+        r & (1 if all(p) else -1 if any(p) else ~1)
+        for p, r in zip(_prefixes(s.small.top), s.small.rows)
+    )
 
 
 def _require_dim2(s: GoodSemigroup, op: str):

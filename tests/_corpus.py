@@ -38,6 +38,8 @@ LADDER = {13: ([3, 5], 5), 31: ([5, 7], 7)}
 # The benchmark's n = 3 product <3,5> x <3,7> x <4,5>: 245 small elements,
 # conductor (8, 12, 12)
 PRODUCT3 = ([3, 5], [3, 7], [4, 5])
+# Corpus seeds of the sum kernel checks, with local_only
+KERNEL_SEEDS = ((514, True), (7, True), (99, True), (518, False), (11, False))
 
 
 def random_numerical(rng, max_conductor=10):
@@ -168,19 +170,23 @@ def absorption_pair_scan(ambient, small):
     return []
 
 
+def tail_pair_loop(small, a):
+    """Whether b + c - a is a member for all points b, c >= a of the small
+    set, by the scan over every such pair: the reference for
+    semigroup._tail_sum_closed."""
+    above = [b for b in small.points if all(x >= y for x, y in zip(b, a))]
+    return all(
+        small.contains(tuple(x + y - z for x, y, z in zip(b, c, a)))
+        for i, b in enumerate(above)
+        for c in above[i:]
+    )
+
+
 def arf_triple_loop(s):
     """Whether b + c - a is a member for all small elements a <= b, a <= c
     of a good semigroup, by the scan over every such triple: the reference
     for the shifted-tail scan of is_arf."""
-    pts = s.small.points
-    contains = s.small.contains
-    for a in pts:
-        above = [b for b in pts if all(x >= y for x, y in zip(b, a))]
-        for i, b in enumerate(above):
-            for c in above[i:]:
-                if not contains(tuple(x + y - z for x, y, z in zip(b, c, a))):
-                    return False
-    return True
+    return all(tail_pair_loop(s.small, a) for a in s.small.points)
 
 
 def stable_pair_loop(e):
@@ -348,3 +354,27 @@ def corrupt(pts, top, axiom):
         ext = [(x + 1, y) for x, y in pts if x == top[0]]
         return pts + ext, (top[0] + 1, top[1])
     raise ValueError(axiom)
+
+
+def kernel_cases(count=10, cap=12):
+    """(ambient, data) pairs for the sum and absorption checks: every
+    semigroup of the KERNEL_SEEDS corpora with its own small set, each
+    corruption of it by corrupt that has a point to corrupt, and its tail
+    ideal at the middle small element; then the benchmark's PRODUCT3 and
+    <2,3> x <3,5> x <3,4>, with their zero and sum corruptions."""
+    for seed, local_only in KERNEL_SEEDS:
+        for s in corpus(seed, count, cap, local_only):
+            small = s.small
+            yield s, small
+            for axiom in ("zero", "meet", "sum", "witness", "conductor"):
+                try:
+                    pts, top = corrupt(small.points, small.top, axiom)
+                except IndexError:  # no point to corrupt for this axiom
+                    continue
+                yield s, small_set(pts, top)
+            yield s, ideals.tail_ideal(s, _middle(small.points)).small
+    for factors in (PRODUCT3, ([2, 3], [3, 5], [3, 4])):
+        s = product_semigroup(*factors)
+        yield s, s.small
+        for axiom in ("zero", "sum"):
+            yield s, small_set(*corrupt(s.small.points, s.small.top, axiom))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -13,11 +15,13 @@ from goodsgp import (
     arf_saturation,
     brute_arf_check,
     build_chain_level,
+    duplication,
     good_semigroup,
     gs_contains,
     gs_equal,
     gs_from_generators,
     gs_subset,
+    ideal_from_generators,
     is_arf,
     is_local,
     ns_arf_closure,
@@ -27,6 +31,7 @@ from goodsgp import (
     saturation_infima_closure,
     small_set,
 )
+from goodsgp import semigroup
 
 import _data as data
 from _corpus import (
@@ -168,6 +173,25 @@ def test_tail_scan_matches_the_triple_loop_and_the_oracle():
         verdicts.append(got)
     assert verdicts[-2:] == [True, False]
     assert verdicts.count(False) > 10 and verdicts.count(True) > 10
+
+
+def test_product_test_retains_no_memory_across_tail_tops():
+    # the C=97 duplication: is_arf, then the shifted tails of every last
+    # coordinate from 97 down to 0; rows are spread without a table, so
+    # nothing stays behind per slot width or per top
+    s = ns_from_generators([16, 17, 18, 19])
+    d = duplication(s, ideal_from_generators(s, [17]))
+    tails = [(0, y) for y in range(98)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not is_arf(d)
+        verdicts = [semigroup._tail_sum_closed(d.small, a) for a in tails]
+        gc.collect()  # empties the interpreter's free lists, which count as traced
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096 and True in verdicts and False in verdicts
 
 
 def test_closure_projections_are_the_numerical_closures():

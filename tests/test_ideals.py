@@ -26,6 +26,7 @@ from goodsgp import (
     good_ideal,
     good_semigroup,
     gs_contains,
+    is_arf,
     is_local,
     is_stable,
     is_symmetric,
@@ -41,13 +42,17 @@ from goodsgp import ideals, semigroup
 
 import _data as data
 from _corpus import (
+    KERNEL_SEEDS,
     absorption_pair_scan,
+    arf_triple_loop,
     box_members,
     corpus,
+    kernel_cases,
     ladder_duplication,
     meet_fixpoint,
     product_semigroup,
     stable_pair_loop,
+    tail_pair_loop,
 )
 
 
@@ -273,6 +278,30 @@ def test_is_stable_matches_the_pair_loop_on_random_instances():
             assert got == stable_pair_loop(e), e.small
             verdicts.append(got)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_absorption_kernel_reports_what_the_pair_scan_reports_on_the_kernel_cases():
+    verdicts = set()
+    for s, small in kernel_cases():
+        got = ideals._absorption_violations(s, small)
+        assert got == absorption_pair_scan(s, small), small
+        verdicts.add((small.dim, bool(got)))
+    assert verdicts == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def test_tail_checks_match_the_pair_loops_on_every_tail():
+    # is_arf and is_stable both read the shifted tails' product test
+    verdicts = set()
+    for seed, local_only in KERNEL_SEEDS:
+        for s in corpus(seed, 10, 12, local_only):
+            assert is_arf(s) == arf_triple_loop(s), s.small
+            for a in s.small.points:
+                closed = semigroup._tail_sum_closed(s.small, a)
+                assert closed == tail_pair_loop(s.small, a), (s.small, a)
+                e = tail_ideal(s, a)
+                assert is_stable(e) == stable_pair_loop(e), e.small
+                verdicts.add(closed)
+    assert verdicts == {True, False}
 
 
 def test_ideal_results_keep_only_their_rows(dup_example):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import add
 from unittest import mock
 
 import pytest
@@ -42,6 +43,7 @@ from _corpus import (
     box_members,
     corpus,
     corrupt,
+    kernel_cases,
     ladder_duplication,
     meet_fixpoint,
     product_semigroup,
@@ -96,6 +98,44 @@ def test_small_set_rejects_points_outside_its_box():
     ]:
         with pytest.raises(error):
             SmallSet(pts, top)
+
+
+def _small_set_by_points(points, top=None):
+    """small_set by way of the sorted Points and the checks of SmallSet:
+    the reference for the checks and messages of small_set."""
+    pts = sorted(set(map(Point, points)))
+    if not pts:
+        raise ValueError("empty point set")
+    top = Point(max(x) for x in zip(*pts)) if top is None else Point(top)
+    return SmallSet(tuple(pts), top)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _raw_points(draw):
+    """Point data and a top as a caller may pass them: a few points of N^2
+    with coordinates from -1 up, at times one of N^3 or an empty one, and a
+    top omitted or anywhere near them."""
+    coord = st.integers(-1, 4)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=10))
+    pts += draw(st.lists(st.sampled_from([(), (1, 1, 1)]), max_size=1))
+    pts = draw(st.permutations(pts))
+    top = draw(st.none() | st.tuples(st.integers(-1, 5), st.integers(-1, 5)))
+    return pts, top
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_raw_points())
+def test_small_set_checks_match_the_point_route(case):
+    # small_set builds rows directly, with the same results and errors
+    pts, top = case
+    assert _outcome(small_set, pts, top) == _outcome(_small_set_by_points, pts, top)
 
 
 def test_small_set_is_held_by_its_rows(dup_example):
@@ -447,6 +487,50 @@ def test_row_kernel_reports_what_the_pair_scans_report_on_the_n3_product(axiom):
     assert report.ok == (axiom is None)
     if axiom is not None:
         assert axiom in {v.axiom for v in report.violations}
+
+
+def test_sum_kernel_reports_what_the_pair_scan_reports_on_the_kernel_cases():
+    verdicts = set()
+    for _, small in kernel_cases():
+        got = semigroup._sum_violations(small)
+        assert got == sum_pair_scan(small), small
+        verdicts.add((small.dim, bool(got)))
+    assert verdicts == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def _first_missing_by_pairs(rows, top, addends):
+    """The first a of addends, then point b of the bit rows of [0, top],
+    with min(a + b, top) not a point, by the scan over every pair."""
+    pts = list(semigroup._row_tuples(rows, top))
+    pset = set(pts)
+    return next(
+        ((a, b) for a in addends for b in pts if tuple(map(min, map(add, a, b), top)) not in pset),
+        None,
+    )
+
+
+@pytest.mark.parametrize("last", [0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 62, 63, 126, 127, 128])
+def test_product_test_at_full_slot_counts(last):
+    # rows full over [0, last]: the middle slot of the product of two of
+    # them counts last + 1 pairs, the most a slot can hold; the slots widen
+    # from one byte to two where last + 1 reaches 128
+    top, full = (1, last), (1 << last + 1) - 1
+    everything = list(semigroup._row_tuples([full] * 2, top))
+    assert not semigroup._some_sum_missing([full] * 2, top)
+    assert not semigroup._some_sum_missing([full] * 2, top, [full] * 2)
+    verdicts = set()
+    for x, y in itertools.product(range(2), sorted({0, 1, last // 2, last})):
+        rows = [full] * 2
+        rows[x] &= ~(1 << y)  # one bit planted missing in a target row
+        # the rows' own sums, and the sums with every point of the box
+        for addends, addend_rows in ((semigroup._row_tuples(rows, top), None),
+                                     (everything, [full] * 2)):
+            addends = list(addends)
+            got = semigroup._first_missing_sum(rows, top, addends, addend_rows)
+            assert got == _first_missing_by_pairs(rows, top, addends), (x, y)
+            assert semigroup._some_sum_missing(rows, top, addend_rows) == (got is not None)
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 def _zero_and_conductor_by_points(small):
