@@ -14,7 +14,6 @@ Arf closures.  A small command line tool wraps the main operations.
 from .arf import (
     arf_closure,
     arf_saturation,
-    build_chain_level,
     is_arf,
     saturation_infima_closure,
 )
@@ -169,7 +168,6 @@ __all__ = [
     "sum_ideals",
     # arf
     "is_arf",
-    "build_chain_level",
     "arf_closure",
     "arf_saturation",
     "saturation_infima_closure",

@@ -11,48 +11,49 @@ closed under sums, since
 Scanning small triples decides it: replacing b or c by its meet with the
 conductor leaves the clamped result, and hence membership, unchanged.
 
-The closure of a local semigroup is found along a chain of candidates built
-from the Arf closures T1, T2 of the coordinate projections.  Level i glues
-the first i elements of T1 and T2 pointwise and fills a full product box
-from the i-th elements onward.  Levels shrink as i grows and each one that
-is a good semigroup is Arf, so the closure is the largest valid level still
-containing the input.
+The closure in N^2 follows the multiplicity recursion of Barucci, D'Anna
+and Fröberg ("Arf characters of an algebroid curve", 2003) and Zito ("Arf
+good semigroups", J. Pure Appl. Algebra, 2018), the two dimensional form
+of the numerical one (numerical._arf_chain).  For a local set X with
+multiplicity vector e, the meet of its nonzero points,
+
+    Arf(X) = {0} u (e + Arf(T_e(X) u {e})),
+
+T_e(X) the shifted tail at e, so the closure descends through the bit rows
+of the tails, recording each e.  Once the set is not local, neither is its
+closure, and a non local good semigroup of N^2 is the product of its
+projections (Barucci, D'Anna and Fröberg, J. Pure Appl. Algebra 147,
+2000): the base is the product of the numerical Arf closures of the
+projections, exactly.  The recorded e's are laid back on, innermost first.
 """
 
 from __future__ import annotations
 
-import warnings
-from operator import add, ge, lt, sub
+from functools import reduce
+from operator import add, ge, lt, or_, sub
 
-from .errors import DimensionMismatch, NotGoodSemigroup
+from .errors import DimensionMismatch
 from .lattice import Point
-from .numerical import (
-    NumericalSemigroup,
-    ns_arf_closure,
-    ns_element_at,
-    ns_is_arf,
-)
+from .numerical import _arf_chain
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
     _box_rows,
+    _low_bit,
     _meet_closed_points,
     _require_dim2,
     _row_points,
     _row_tuples,
     _rows,
-    _small_subset,
+    _rows_local,
     _sum_closure,
+    _tail_rows,
     _tail_sum_closed,
     good_semigroup,
-    is_local,
-    projection,
 )
-from .constructions import cartesian
 
 __all__ = [
     "is_arf",
-    "build_chain_level",
     "arf_closure",
     "arf_saturation",
     "saturation_infima_closure",
@@ -70,68 +71,41 @@ def is_arf(s: GoodSemigroup) -> bool:
     return all(_tail_sum_closed(small, a) for a in _row_tuples(small.rows, small.top))
 
 
-def _chain_level_small(t1: NumericalSemigroup, t2: NumericalSemigroup, i: int) -> SmallSet:
-    si = ns_element_at(t1, i)
-    ui = ns_element_at(t2, i)
-    cc = Point((max(si, t1.conductor), max(ui, t2.conductor)))
-    pts = set()
-    for k in range(i):
-        pts.add(Point((ns_element_at(t1, k), ns_element_at(t2, k))))
-    xs = [x for x in range(si, cc[0] + 1) if x in t1]
-    ys = [y for y in range(ui, cc[1] + 1) if y in t2]
-    pts.update(Point((x, y)) for x in xs for y in ys)
-    return SmallSet(tuple(sorted(pts)), cc)
-
-
-def build_chain_level(t1: NumericalSemigroup, t2: NumericalSemigroup, i: int) -> GoodSemigroup:
-    """Level i of the closure chain over two Arf numerical semigroups.
-
-    The first i members of each factor are glued pointwise; above that the
-    level is a full product.  Its conductor is the join of the i-th members
-    with the factor conductors.  For incompatible member sequences a level
-    can fail closure under addition, in which case validation raises.
-    """
-    if i < 1:
-        raise ValueError("chain levels start at 1")
-    if not ns_is_arf(t1) or not ns_is_arf(t2):
-        raise ValueError("both factors must be Arf")
-    return good_semigroup(_chain_level_small(t1, t2, i))
-
-
 def arf_closure(s: GoodSemigroup) -> GoodSemigroup:
-    """Smallest Arf good semigroup containing s.
+    """Smallest Arf good semigroup containing s, by the multiplicity
+    recursion (see the module docstring).
 
-    Local case: ascend the chain levels over the Arf closures of the
-    projections while they still contain s, then validate, backing off a
-    level if the top one fails to be a semigroup.  Non local semigroups fall
-    back to the product of the projection closures (a warning is issued; the
-    product is Arf and contains s but minimality is not guaranteed there).
+    While the rows X over [0, T] are local, e is the first nonempty column
+    from 1 on and the lowest bit over the columns from there, and X becomes
+    its shifted tail at e (_tail_rows) plus the bit at min(e, T - e).  No
+    later step reads bit 0 of the first column, so 0 is not added.  The
+    base finishes each axis with the numerical recursion on X's nonzero
+    coordinates there plus T_i + 1: an Arf set holding x and x + 1 holds
+    every larger integer.  The product rows then take {0} u (e + ...) per
+    recorded e, and the result is validated once.
     """
     _require_dim2(s, "arf_closure")
-    t1 = ns_arf_closure(projection(s, 0))
-    t2 = ns_arf_closure(projection(s, 1))
-    if not is_local(s):
-        warnings.warn(
-            "arf_closure of a non local semigroup returns the product of the "
-            "projection closures, which may not be minimal"
-        )
-        return cartesian(t1, t2)
-
-    # containment holds at level 1 for local s and fails for good once the
-    # glued prefix outgrows the border of s, so the ascent terminates
-    level = 1
-    while _small_subset(s.small, _chain_level_small(t1, t2, level + 1)):
-        level += 1
-
-    while True:
-        try:
-            return good_semigroup(_chain_level_small(t1, t2, level))
-        except NotGoodSemigroup:
-            # a level containing s can in principle fail closure under
-            # addition; the closure is then the next valid level below
-            if level == 1:
-                raise
-            level -= 1
+    rows, top = list(s.small.rows), tuple(s.small.top)
+    steps = []
+    while _rows_local(rows, top):  # column 0 holds at most bit 0
+        x = next(x for x in range(1, len(rows)) if rows[x])
+        e = (x, _low_bit(reduce(or_, rows[x:])))
+        rows, top = _tail_rows(rows, top, e)
+        x, y = map(min, e, top)
+        rows[x] |= 1 << y
+        steps.append(e)
+    xs = _arf_chain([x for x in range(1, top[0] + 1) if rows[x]] + [top[0] + 1])
+    union = reduce(or_, rows)
+    ys = _arf_chain([y for y in range(1, top[1] + 1) if union >> y & 1] + [top[1] + 1])
+    column = sum(1 << y for y in ys)
+    rows = [0] * (xs[-1] + 1)
+    for x in xs:
+        rows[x] = column
+    top = (xs[-1], ys[-1])
+    for x, y in reversed(steps):
+        rows = [1] + [0] * (x - 1) + [r << y for r in rows]
+        top = (top[0] + x, top[1] + y)
+    return good_semigroup(SmallSet._of_rows(rows, Point(top)))
 
 
 def arf_saturation(s: GoodSemigroup, box) -> tuple:

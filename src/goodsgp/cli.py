@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from .arf import arf_closure, arf_saturation, is_arf
 from .constructions import amalgamation, cartesian, duplication, from_maximal_elements
@@ -439,34 +438,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print("warning: %s" % (message,), file=sys.stderr)
-
-
 def run(argv=None) -> int:
-    """Parse arguments, run one subcommand, and map errors to exit codes.
-    Library warnings go to stderr as one "warning: <message>" line each."""
+    """Parse arguments, run one subcommand, and map errors to exit codes;
+    errors go to stderr as one "error: <message>" line."""
     args = _build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
-        try:
-            return args.func(args)
-        except _InputError as exc:
-            print("error: %s" % (exc,), file=sys.stderr)
-            return EXIT_PARSE
-        except UnsupportedDimension as exc:
-            print("error: %s" % (exc,), file=sys.stderr)
-            return EXIT_DIMENSION
-        except NonLocalError as exc:
-            print("error: %s" % (exc,), file=sys.stderr)
-            return EXIT_NONLOCAL
-        except ValueError as exc:
-            # argument-domain checks, DimensionMismatch among them
-            print("error: %s" % (exc,), file=sys.stderr)
-            return EXIT_PARSE
-        except GoodSgpError as exc:
-            print("error: %s" % (exc,), file=sys.stderr)
-            return EXIT_INVALID
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_PARSE
+    except UnsupportedDimension as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_DIMENSION
+    except NonLocalError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_NONLOCAL
+    except ValueError as exc:
+        # argument-domain checks, DimensionMismatch among them
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_PARSE
+    except GoodSgpError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_INVALID
 
 
 def main(argv=None) -> int:

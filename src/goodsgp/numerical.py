@@ -2,7 +2,8 @@
 
 Everything here is finite data: a semigroup is stored as its conductor plus
 the members below it, an ideal likewise.  These are the one dimensional
-building blocks for the product constructions and the Arf closure chain.
+building blocks for the product constructions and the base of the two
+dimensional Arf closure.
 
 Each quantity has one route.  The conductor is one scan down from a bound
 past which everything is a member (_conductor).  Minimal generators of an
@@ -13,7 +14,8 @@ multiplicity recursion of Rosales, García-Sánchez, García-García and Branco
 ("Arf numerical semigroups", J. Algebra 276, 2004): with multiplicity m,
 Arf(<m, n_2, ..., n_e>) = {0} u (m + Arf(<m, n_2 - m, ..., n_e - m>)) and
 Arf(N) = N, so its members below the conductor are the partial sums of the
-successive multiplicities.  A semigroup is Arf when it equals its closure.
+successive multiplicities (_arf_chain, which the two dimensional closure
+runs on each axis too).  A semigroup is Arf when it equals its closure.
 """
 
 from __future__ import annotations
@@ -201,19 +203,27 @@ def ns_is_arf(s: NumericalSemigroup) -> bool:
     return ns_arf_closure(s) == s
 
 
-def ns_arf_closure(s: NumericalSemigroup) -> NumericalSemigroup:
-    """Smallest Arf semigroup containing s, by the multiplicity recursion.
+def _arf_chain(gens) -> list:
+    """The members up to the conductor, the last one the conductor, of the
+    Arf closure of the semigroup that gens generate (positive, gcd 1), by
+    the multiplicity recursion.
 
     While the multiplicity m of the current generators exceeds 1, m joins the
-    running total and the generators become m and g - m for the others; the
-    totals are the members below the conductor, the last one the conductor.
+    running total and the generators become m and g - m for the others.
     """
-    gens = set(s.generators)
+    gens = set(gens)
     small = [0]
     while min(gens) > 1:
         m = min(gens)
         small.append(small[-1] + m)
         gens = {m} | {g - m for g in gens if g != m}
+    return small
+
+
+def ns_arf_closure(s: NumericalSemigroup) -> NumericalSemigroup:
+    """Smallest Arf semigroup containing s, by the multiplicity recursion
+    (_arf_chain)."""
+    small = _arf_chain(s.generators)
     return ns_from_small(small, small[-1])
 
 

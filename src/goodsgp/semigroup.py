@@ -728,21 +728,27 @@ def _sum_violations(small: SmallSet) -> list:
     return [] if pair is None else [_sum_violation(Point(pair[0]), pair[1])]
 
 
+def _tail_rows(rows, top, a):
+    """The bit rows of the shifted tail {x - a : x a point, x >= a} of the
+    bit rows of [0, top], a a point of [0, top], and its top, top - a, as
+    (rows, top): its row at prefix q is the row at q + a' shifted down by
+    a's last coordinate."""
+    strides = _strides([t + 1 for t in top[:-1]])
+    tail_top = tuple(map(sub, top, a))
+    tail = [rows[sum(map(mul, map(add, q, a), strides))] >> a[-1] for q in _prefixes(tail_top)]
+    return tail, tail_top
+
+
 def _tail_sum_closed(small: SmallSet, a) -> bool:
     """Is the shifted tail T = {x - a : x in small, x >= a}, a a point of
     [0, top], closed under truncated sums at its top, top - a?
 
     The truncation is exact, as min(y, top - a) + a = min(y + a, top), so T
     is closed exactly when b + c - a is a member for all members b, c >= a.
-    T's bit row at prefix q is the row of small at q + a' shifted down by
-    a's last coordinate, and the product test (_some_sum_missing) decides
-    it.
+    The product test (_some_sum_missing) on T's bit rows (_tail_rows)
+    decides it.
     """
-    top, rows = small.top, small.rows
-    strides = _strides([t + 1 for t in top[:-1]])
-    tail_top = tuple(map(sub, top, a))
-    tail = [rows[sum(map(mul, map(add, q, a), strides))] >> a[-1] for q in _prefixes(tail_top)]
-    return not _some_sum_missing(tail, tail_top)
+    return not _some_sum_missing(*_tail_rows(small.rows, small.top, a))
 
 
 def _conductor_violations(small: SmallSet) -> list:
@@ -851,15 +857,18 @@ def borders(s: GoodSemigroup, axes) -> tuple:
 
 def is_local(s: GoodSemigroup) -> bool:
     """True when 0 is the only member with a zero coordinate."""
-    if s.dim == 1:
-        return True
-    if all(t == 0 for t in s.small.top):
+    return s.dim == 1 or _rows_local(s.small.rows, s.small.top)
+
+
+def _rows_local(rows, top) -> bool:
+    """Whether 0 is the only point with a zero coordinate of the set the
+    bit rows of [0, top] reconstruct, n >= 2."""
+    if not any(top):
         return False  # the whole lattice: every axis point is a member
     # the bits a row may not hold: bit 0 under a prefix with no zero, all
     # but bit 0 under the zero prefix, and every bit under the others
     return not any(
-        r & (1 if all(p) else -1 if any(p) else ~1)
-        for p, r in zip(_prefixes(s.small.top), s.small.rows)
+        r & (1 if all(p) else -1 if any(p) else ~1) for p, r in zip(_prefixes(top), rows)
     )
 
 

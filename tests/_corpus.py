@@ -19,6 +19,7 @@ from goodsgp import (
     NotGoodSemigroup,
     Point,
     amalgamation,
+    cartesian,
     closure_small,
     duplication,
     good_semigroup,
@@ -27,14 +28,18 @@ from goodsgp import (
     join,
     membership_in_closure,
     normalize_conductor,
+    ns_arf_closure,
+    ns_element_at,
     ns_from_generators,
+    projection,
     small_set,
 )
 from goodsgp import ideals, semigroup
 
 # The benchmark's conductor ladder: the duplications "S by e + S" of <3,5> by
-# 5 (C=13) and <5,7> by 7 (C=31)
-LADDER = {13: ([3, 5], 5), 31: ([5, 7], 7)}
+# 5 (C=13), <5,7> by 7 (C=31), <9,11,13> by 11 (C=55) and <16,17,18,19> by
+# 17 (C=97)
+LADDER = {13: ([3, 5], 5), 31: ([5, 7], 7), 55: ([9, 11, 13], 11), 97: ([16, 17, 18, 19], 17)}
 # The benchmark's n = 3 product <3,5> x <3,7> x <4,5>: 245 small elements,
 # conductor (8, 12, 12)
 PRODUCT3 = ([3, 5], [3, 7], [4, 5])
@@ -108,7 +113,13 @@ def random_closure(rng, cap=15, local_only=True):
 
 
 def random_good_semigroup(rng, cap=15, local_only=True):
-    route = rng.randrange(3)
+    """A random good semigroup of N^2 by duplication, amalgamation or a
+    validated random closure; without local_only, also the product of two
+    random numerical semigroups, which is never local (local corpora keep
+    the random stream they had without that route)."""
+    route = rng.randrange(3 if local_only else 4)
+    if route == 3:
+        return cartesian(random_numerical(rng, cap), random_numerical(rng, cap))
     if route == 0:
         return random_duplication(rng, cap)
     if route == 1:
@@ -133,6 +144,39 @@ def product_semigroup(*factors):
     ns = [ns_from_generators(g) for g in factors]
     pts = itertools.product(*(f.small_elements for f in ns))
     return good_semigroup(small_set(pts, tuple(f.conductor for f in ns)))
+
+
+def _chain_level(t1, t2, i):
+    """Level i of the chain over the numerical semigroups t1, t2: their
+    first i members glued pointwise, and the full product from the i-th
+    members on, topped by the join of those with the conductors."""
+    si, ui = ns_element_at(t1, i), ns_element_at(t2, i)
+    top = (max(si, t1.conductor), max(ui, t2.conductor))
+    pts = {(ns_element_at(t1, k), ns_element_at(t2, k)) for k in range(i)}
+    pts.update(itertools.product([x for x in range(si, top[0] + 1) if x in t1],
+                                 [y for y in range(ui, top[1] + 1) if y in t2]))
+    return small_set(pts, top)
+
+
+def chain_level_closure(s):
+    """The Arf closure of a good semigroup of N^2 by the chain levels over
+    the Arf closures t1, t2 of its projections: the product t1 x t2 when s
+    is not local; otherwise the deepest level still containing s, backing
+    off while a level is no good semigroup.  The reference for arf_closure
+    wherever its result is Arf; on a few inputs it is not."""
+    t1, t2 = (ns_arf_closure(projection(s, i)) for i in (0, 1))
+    if not is_local(s):
+        return cartesian(t1, t2)
+    level = 1
+    while semigroup._small_subset(s.small, _chain_level(t1, t2, level + 1)):
+        level += 1
+    while True:
+        try:
+            return good_semigroup(_chain_level(t1, t2, level))
+        except NotGoodSemigroup:
+            if level == 1:
+                raise
+            level -= 1
 
 
 def box_members(small, bound, low=None):

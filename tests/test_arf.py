@@ -1,4 +1,6 @@
-"""The Arf property, Arf closures, chain levels, and the saturation gap."""
+"""The Arf property, the Arf closure by the multiplicity recursion, checked
+against the chain-level closure of the projection closures, and the
+saturation gap."""
 
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from goodsgp import (
     arf_closure,
     arf_saturation,
     brute_arf_check,
-    build_chain_level,
     duplication,
     good_semigroup,
     gs_contains,
@@ -26,7 +27,6 @@ from goodsgp import (
     is_local,
     ns_arf_closure,
     ns_from_generators,
-    ns_from_small,
     projection,
     saturation_infima_closure,
     small_set,
@@ -35,9 +35,13 @@ from goodsgp import semigroup
 
 import _data as data
 from _corpus import (
+    KERNEL_SEEDS,
+    LADDER,
     PRODUCT3,
     arf_triple_loop,
+    chain_level_closure,
     corpus,
+    ladder_duplication,
     meet_fixpoint,
     product_semigroup,
     saturation_fixpoint,
@@ -93,26 +97,52 @@ def test_closure_contains_the_input_and_is_arf(arfex1, arfex2, arfex3, dup_examp
         assert gs_equal(arf_closure(t), t)
 
 
-def test_chain_levels():
-    t34 = ns_arf_closure(ns_from_generators([3, 4]))
-    lvl = build_chain_level(t34, t34, 1)
-    assert data.points(lvl.small.points) == data.points([(0, 0), (3, 3)])
-    t1 = ns_from_small((0, 3, 5), 5)
-    lvl2 = build_chain_level(t1, t34, 1)
-    assert data.points(lvl2.small.points) == data.points(data.ARFEX2_CLOSURE[0])
-    deep = build_chain_level(t34, t34, 4)
-    assert data.points(deep.small.points) == data.points(data.ARFEX3_CLOSURE[0])
-    with pytest.raises(ValueError):
-        build_chain_level(t34, t34, 0)
-    with pytest.raises(ValueError):
-        build_chain_level(ns_from_generators([3, 4]), t34, 1)  # factor not Arf
-
-
 def test_non_local_closure_warns_and_uses_the_projections(product_nonlocal):
-    with pytest.warns(UserWarning):
+    # the product of the projection closures is the exact closure of a non
+    # local semigroup, and nothing warns about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         t = arf_closure(product_nonlocal)
     # both projections happen to be Arf already, so nothing grows
     assert gs_equal(t, product_nonlocal)
+
+
+def test_closure_matches_the_chain_levels_where_they_are_arf():
+    # the chain-level reference can return a good semigroup that is not Arf;
+    # wherever it does not, the two closures agree
+    cases = [s for seed, local_only in KERNEL_SEEDS for s in corpus(seed, 60, 25, local_only)]
+    for s in cases + [ladder_duplication(rung) for rung in LADDER]:
+        t = arf_closure(s)
+        assert is_arf(t) and brute_arf_check(t, tuple(x + 1 for x in t.small.top)), s.small
+        assert gs_subset(s, t) and gs_equal(arf_closure(t), t), s.small
+        for i in (0, 1):
+            want, got = ns_arf_closure(projection(s, i)), projection(t, i)
+            assert (got.small_elements, got.conductor) == (want.small_elements, want.conductor)
+        ref = chain_level_closure(s)
+        assert not is_arf(ref) or gs_equal(t, ref), s.small
+
+
+@pytest.mark.parametrize(
+    "small, top, closure",
+    [
+        # the chain levels stop at top (18, 18), which lacks
+        # (15, 15) + (15, 15) - (13, 14) = (17, 16)
+        ([(0, 0), (5, 5), (10, 10), (13, 14), (15, 15), (18, 18)], (18, 18),
+         ([(0, 0), (5, 5), (10, 10), (13, 14), (15, 15), (16, 16)], (16, 16))),
+        ([(0, 0), (5, 8), (10, 16), (14, 17), (15, 20), (19, 20)], (19, 20),
+         ([(0, 0), (5, 8), (10, 16), (14, 17), (15, 18)], (15, 18))),
+        # the descent ends at top (0, 0)
+        ([(0, 0), (1, 3), (2, 6), (3, 9)], (3, 9), None),
+        # the descent ends on an axis
+        ([(0, 0), (2, 2), (4, 2)], (4, 2), None),
+    ],
+    ids=["example-doc", "needs-e", "ends-at-zero", "ends-on-axis"],
+)
+def test_closure_of_pinned_cases(small, top, closure):
+    # the first two need the multiplicity vector added back at each step
+    want_small, want_top = closure or (small, top)
+    got = _closure_small(good_semigroup(small_set(small, top)))
+    assert got == (data.points(want_small), want_top)
 
 
 def test_saturation_gap_golden(saturation_example):
@@ -154,10 +184,7 @@ def _arf_cases():
     """Local and non-local corpus semigroups, their Arf closures, and the
     n = 3 products <2,3>^3 (Arf) and the benchmark's PRODUCT3 (not Arf)."""
     found = corpus(519, 30, cap=10) + corpus(520, 30, cap=10, local_only=False)
-    with warnings.catch_warnings():
-        # the closure of a non-local semigroup warns that it may not be minimal
-        warnings.simplefilter("ignore", UserWarning)
-        closures = tuple(arf_closure(s) for s in found)
+    closures = tuple(arf_closure(s) for s in found)
     return found + closures + (product_semigroup([2, 3], [2, 3], [2, 3]),
                                product_semigroup(*PRODUCT3))
 
@@ -202,19 +229,6 @@ def test_closure_projections_are_the_numerical_closures():
             got = projection(t, i)
             assert got.small_elements == want.small_elements
             assert got.conductor == want.conductor
-
-
-def test_closure_levels_shrink_and_stop_at_the_input(arfex3):
-    # the chain levels are nested, and the closure is the deepest one that
-    # still contains the input
-    t34 = ns_arf_closure(ns_from_generators([3, 4]))
-    levels = [build_chain_level(t34, t34, i) for i in range(1, 6)]
-    for shallow, deep in zip(levels, levels[1:]):
-        assert gs_subset(deep, shallow)
-    closure = arf_closure(arfex3)
-    assert gs_equal(closure, levels[3])
-    assert gs_subset(arfex3, levels[3])
-    assert not gs_subset(arfex3, levels[4])
 
 
 def test_saturation_infima_closure_in_three_dimensions():
