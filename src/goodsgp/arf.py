@@ -40,7 +40,7 @@ from .semigroup import (
     SmallSet,
     _box_rows,
     _low_bit,
-    _meet_closed_points,
+    _meet_closure,
     _require_dim2,
     _row_points,
     _row_tuples,
@@ -138,4 +138,4 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
 def saturation_infima_closure(s: GoodSemigroup, box) -> tuple:
     """Meet closure of the in-box saturation (meets stay inside the box)."""
     box = Point(box)
-    return _meet_closed_points(_rows(arf_saturation(s, box), box), box)
+    return _row_points(_meet_closure(_rows(arf_saturation(s, box), box), box), box)

@@ -49,7 +49,7 @@ from .plot import render_plot
 from .semigroup import (
     GoodSemigroup,
     _box_rows,
-    _meet_closed_points,
+    _meet_closure,
     _row_tuples,
     _rows,
     good_semigroup,
@@ -344,7 +344,7 @@ def cmd_saturate(args) -> int:
     if any(x < 0 for x in box):
         raise _InputError("box %s has a negative coordinate" % (tuple(box),))
     sat = arf_saturation(s, box)
-    inf = [list(p) for p in _meet_closed_points(_rows(sat, box), box)]
+    inf = [list(p) for p in _row_tuples(_meet_closure(_rows(sat, box), box), box)]
     closure_in_box = [list(q) for q in _row_tuples(_box_rows(closure.small, box), box)]
     _emit(
         args,

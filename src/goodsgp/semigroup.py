@@ -16,7 +16,8 @@ the first n - 1 coordinates of [0, C], in itertools.product order, with bit
 y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 Its points are derived from the rows when read.  The closures, the row fold
 of normalize_conductor and the ideal constructors build rows directly, and
-the n = 2 checks read them, so a result no caller lists holds no Points.
+every check but the witness check for n != 2 reads them, so a result no
+caller lists holds no Points.
 The members of a box, rays and cone included, are read off the rows too
 (_box_rows), by the tail, sum, absorption, subset and saturation routines.
 
@@ -34,19 +35,26 @@ The members of a box, rays and cone included, are read off the rows too
   slots must lie in the target row.  The sum and absorption checks run it
   before naming a witness, and the Arf and stability tests
   (_tail_sum_closed) run it alone on the rows of a shifted tail.
-* For n = 2 each coordinate of an iterated meet comes from one argument, so
-  column x of the meet closure is the union of the columns from x on, below
-  the highest bit of column x (_meet_closure), and a set is meet closed
-  exactly when that closure equals its rows.
+* The minima of the points of two rows A and B are the bits of A up to
+  B's highest bit and those of B up to A's (_row_meet), and they land in
+  the row at the meet of the two prefixes.  For n != 2 the meet check
+  tests every pair of rows by it, and the meet closure (_meet_closure)
+  ORs it in until no row grows.  For n = 2 each coordinate of an iterated
+  meet comes from one argument, so column x of the meet closure is the
+  union of the columns from x on, below the highest bit of column x, and
+  a set is meet closed exactly when that closure equals its rows.
+* For n = 2 the witness check reads, per column, the OR of the columns
+  right of it: a point below the column's highest bit fails on axis 0
+  when the OR lacks it, and the highest bit, below the top, fails on axis
+  1 when the OR holds it.
 
 The checks report the same witnesses, in the same order, as the pair scans
-they replace; only the meet and witness pair scans, and a pairwise meet
-fixpoint, remain for n != 2.  The zero check reads bit 0 of the first row
-and the conductor check reads membership, in every dimension.  Fiber queries
-(fiber_reaches, the witness check, canonical ideals and minimal generating
-systems) all read one fiber-top table (_fiber_top_table), the one place
-that holds the ray rule; queries read it cached (SmallSet.fiber_top), and
-the witness check builds it afresh, so validated data keeps only its rows.
+they replace; only the witness pair scan remains, for n != 2.  The zero
+check reads bit 0 of the first row and the conductor check reads
+membership, in every dimension.  Fiber queries (fiber_reaches, canonical
+ideals and minimal generating systems) all read one fiber-top table,
+cached on the set (SmallSet.fiber_top); validation reads no table, so
+validated data keeps only its rows.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
-from operator import add, gt, itemgetter, lt, mul, sub
+from operator import add, gt, itemgetter, lt, mul, or_, sub
 
 from .errors import (
     DimensionMismatch,
@@ -145,7 +153,19 @@ class SmallSet:
 
     @cached_property
     def _fiber_tops(self) -> tuple:
-        return _fiber_top_table(self.rows, self.top)
+        """n = 2: per axis i and u in [0, top_i], the other coordinate of
+        the last (highest) point with u on axis i, -inf for none, and inf
+        where it lies on the top of the other axis and so starts a ray."""
+        rows, (t0, t1) = self.rows, self.top
+        cols = [r.bit_length() - 1 if r else -inf for r in rows], [-inf] * (t1 + 1)
+        seen = 0
+        for x in range(t0, -1, -1):  # a bit first seen from the right is its last point
+            new = rows[x] & ~seen
+            seen |= new
+            while new:
+                cols[1][_low_bit(new)] = x
+                new &= new - 1
+        return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
 
     def fiber_top(self, axis: int, value: int):
         """n = 2 only: the largest other coordinate of a member of the
@@ -170,23 +190,6 @@ class SmallSet:
         for x, t in zip(head, top):  # the row index, in row-major order
             i = i * (t + 1) + x
         return self.rows[i] >> y & 1 == 1
-
-
-def _fiber_top_table(rows, top) -> tuple:
-    """n = 2: per axis i and u in [0, top_i], the other coordinate of the
-    last (highest) point of the bit rows of [0, top] with u on axis i, -inf
-    for none, and inf where it lies on the top of the other axis and so
-    starts a ray."""
-    t0, t1 = top
-    cols = [r.bit_length() - 1 if r else -inf for r in rows], [-inf] * (t1 + 1)
-    seen = 0
-    for x in range(t0, -1, -1):  # a bit first seen from the right is its last point
-        new = rows[x] & ~seen
-        seen |= new
-        while new:
-            cols[1][_low_bit(new)] = x
-            new &= new - 1
-    return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
 
 
 def small_set(points, top=None) -> SmallSet:
@@ -388,29 +391,49 @@ def _sum_closure(gens, top) -> list:
     return rows
 
 
-def _meet_closure(members, top):
-    """Close members, a set inside [0, top], under componentwise minima:
-    bit rows in and out by one right to left pass for n = 2 (see the module
-    docstring), sets of tuples by the pairwise fixpoint otherwise."""
+def _row_meet(a, b) -> int:
+    """The last coordinates of the componentwise minima of the points of
+    two nonempty bit rows a and b: min(x, y) is x for the bits x of a up to
+    b's highest bit, and y for the bits y of b up to a's.  The minima land
+    in the row at the meet of the two rows' prefixes."""
+    return a & ((1 << b.bit_length()) - 1) | b & ((1 << a.bit_length()) - 1)
+
+
+def _meet_target(top):
+    """The index of the bit row of [0, top] at the meet of two prefixes."""
+    strides = _strides([t + 1 for t in top[:-1]])
+    return lambda p, q: sum(map(mul, map(min, p, q), strides))
+
+
+def _meet_closure(rows, top) -> list:
+    """The bit rows of the closure of the bit rows of [0, top] under
+    componentwise minima.
+
+    For n = 2, one right to left pass (see the module docstring).  In other
+    dimensions the minima of each pair of nonempty rows (_row_meet) are ORed
+    into the row at the meet of their prefixes; a row that grows is paired
+    again with every nonempty row, until none grows.
+    """
     if len(top) == 2:
         out, union = [], 0
-        for r in reversed(members):
+        for r in reversed(rows):
             union |= r
             out.append(union & ((1 << r.bit_length()) - 1))
         return out[::-1]
-    pts = new = set(members)
-    while new:
-        new = {tuple(map(min, a, b)) for a in new for b in pts} - pts
-        pts = pts | new
-    return pts
-
-
-def _meet_closed_points(rows, top) -> tuple:
-    """_meet_closure of the points of bit rows of [0, top], as sorted
-    Points."""
-    if len(top) == 2:
-        return _row_points(_meet_closure(rows, top), top)
-    return tuple(sorted(map(Point, _meet_closure(_row_points(rows, top), top))))
+    rows, heads, target = list(rows), list(_prefixes(top)), _meet_target(top)
+    work = [i for i, r in enumerate(rows) if r]
+    while work:
+        i = work.pop()
+        for j, b in enumerate(rows):
+            if not b:
+                continue
+            t = target(heads[i], heads[j])
+            new = _row_meet(rows[i], b) & ~rows[t]
+            if new:
+                rows[t] |= new
+                if t not in work:
+                    work.append(t)
+    return rows
 
 
 def closure_small(gens, conductor) -> SmallSet:
@@ -437,9 +460,7 @@ def closure_small(gens, conductor) -> SmallSet:
         clamped.append(tuple(map(min, g, top)))
     rows = _sum_closure(clamped, top)
     rows[-1] |= 1 << top[-1]
-    if n == 2:
-        return SmallSet._of_rows(_meet_closure(rows, top), top)
-    return SmallSet(_meet_closed_points(rows, top), top)
+    return SmallSet._of_rows(_meet_closure(rows, top), top)
 
 
 def normalize_conductor(small: SmallSet) -> SmallSet:
@@ -516,22 +537,30 @@ def _coordinate_witness_violations(small: SmallSet, stop_after_first=True):
     c_i strictly larger, c_j = min(a_j, b_j) on axes where a_j != b_j, and
     c_j >= min(a_j, b_j) elsewhere.  Pairs with a = b are always satisfied
     by the conductor ray, so only distinct pairs are scanned.  For n = 2 the
-    condition collapses to a per point test on the fiber tops: a point a
-    below the top of its axis-i fiber needs a member x with x_j = a_j and
-    x_i > a_i, and the witness is a with the next point above it.
+    condition collapses to a test per point: a point a below the top of its
+    axis-i fiber needs a member x with x_j = a_j and x_i > a_i, and the
+    witness is a with the next point above it.  Per column x, with R the OR
+    of the columns right of it (column top_0 itself for x = top_0, its ray),
+    the points failing on axis 0 are the column's bits below its highest
+    that R lacks, and the one failing on axis 1 is its highest bit, when it
+    is below top_1 and R holds it.
     """
     if small.dim != 2:
         return _witness_pair_scan(small, stop_after_first)
-    # not the cached table: validated data, ideal data above all, keeps
-    # only its rows
-    tops = _fiber_top_table(small.rows, small.top)
+    rows, last = small.rows, small.top[1]
+    right = list(itertools.accumulate(reversed(rows), or_))[-2::-1] + [rows[-1]]
     out = []
-    for a in _row_tuples(small.rows, small.top):
-        for i in (0, 1):
-            j = 1 - i
-            if tops[i][a[i]] <= a[j] or tops[j][a[j]] > a[i]:
-                continue
-            out.append(_witness_violation(Point(a), _fiber_mate(small.rows, a, i), i))
+    for x, (r, run) in enumerate(zip(rows, right)):
+        if not r:
+            continue
+        high = r.bit_length() - 1
+        on0 = r & ~run & ((1 << high) - 1)
+        bad = on0 | (1 << high if high < last and run >> high & 1 else 0)
+        while bad:
+            a = (x, _low_bit(bad))
+            bad &= bad - 1
+            i = 0 if on0 >> a[1] & 1 else 1
+            out.append(_witness_violation(Point(a), _fiber_mate(rows, a, i), i))
             if stop_after_first:
                 return out
     return out
@@ -585,39 +614,51 @@ def _meet_violation(a, b) -> Violation:
 
 
 def _meet_violations(small: SmallSet) -> list:
-    """The first pair of points whose componentwise minimum is missing.
+    """The first pair of points whose componentwise minimum is missing, in
+    the order of the scan over all ordered pairs of points.
 
-    For n = 2 the set is meet closed exactly when its meet closure equals
-    its rows.  The pair scan reports the lexicographically first failing a,
-    whose partners all lie right of it (a partner left of a would fail with
-    a earlier), so a lies in the first column a_0 the closure gains bits
-    in: a_1 is its lowest point above the lowest gained bit, and b the
-    first point right of a on a gained bit below a_1.
+    That scan reports the lexicographically first failing a, then its first
+    failing partner b.  For n = 2 the set is meet closed exactly when its
+    meet closure equals its rows, and a partner left of a would fail with a
+    earlier, so a lies in the first column a_0 the closure gains bits in:
+    a_1 is its lowest point above the lowest gained bit, and b the first
+    point right of a on a gained bit below a_1.
+
+    Otherwise every pair of nonempty rows A, B must have its minima
+    (_row_meet) in the row T at the meet of their prefixes.  A bit of A
+    fails against B when it is missing from T and at most B's highest bit,
+    or above the lowest bit of B missing from T, so the set is meet closed
+    exactly when no row has a failing bit.  a is the lowest failing bit of
+    the first row that has one, and b the first point whose minimum with a
+    is missing.
     """
-    if small.dim != 2:
-        return _meet_pair_scan(small)
-    rows = small.rows
-    for a0, (r, c) in enumerate(zip(rows, _meet_closure(rows, small.top))):
-        if r == c:
-            continue
-        gained = c & ~r
-        low = _low_bit(gained)
-        a1 = _low_bit(r >> low << low)
-        below = gained & ((1 << a1) - 1)
-        b0 = next(x for x in range(a0 + 1, len(rows)) if rows[x] & below)
-        b1 = _low_bit(rows[b0] & below)
-        return [_meet_violation(Point((a0, a1)), Point((b0, b1)))]
-    return []
-
-
-def _meet_pair_scan(small: SmallSet) -> list:
-    """_meet_violations by the scan over all pairs of points."""
-    pts = small.points
-    pset = set(pts)
-    for a in pts:
-        for b in pts:
-            if tuple(map(min, a, b)) not in pset:
-                return [_meet_violation(a, b)]
+    rows, top = small.rows, small.top
+    if len(top) == 2:
+        for a0, (r, c) in enumerate(zip(rows, _meet_closure(rows, top))):
+            if r == c:
+                continue
+            gained = c & ~r
+            low = _low_bit(gained)
+            a1 = _low_bit(r >> low << low)
+            below = gained & ((1 << a1) - 1)
+            b0 = next(x for x in range(a0 + 1, len(rows)) if rows[x] & below)
+            b1 = _low_bit(rows[b0] & below)
+            return [_meet_violation(Point((a0, a1)), Point((b0, b1)))]
+        return []
+    target = _meet_target(top)
+    full = [(p, r) for p, r in zip(_prefixes(top), rows) if r]
+    for p, a in full:
+        bad = 0
+        for q, b in full:
+            t = rows[target(p, q)]
+            bad |= a & ~t & ((1 << b.bit_length()) - 1)
+            if b & ~t:
+                low = _low_bit(b & ~t) + 1
+                bad |= a >> low << low
+        if bad:
+            a = Point(p + (_low_bit(bad),))
+            b = next(b for b in _row_tuples(rows, top) if not small.contains(tuple(map(min, a, b))))
+            return [_meet_violation(a, Point(b))]
     return []
 
 

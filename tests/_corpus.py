@@ -130,6 +130,19 @@ def random_good_semigroup(rng, cap=15, local_only=True):
     return random_closure(rng, cap, local_only=local_only)
 
 
+def closures3(seed, count, cap=8):
+    """Seeded truncated closures in N^3 with their conductors normalized,
+    valid or not: each top has coordinates 1 to cap, and its one to three
+    generators have coordinates from 1 (a local closure) or from 0 (often
+    a non-local one), at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        top = tuple(rng.randint(1, cap) for _ in range(3))
+        low = rng.randint(0, 1)
+        gens = [tuple(rng.randint(low, t) for t in top) for _ in range(rng.randint(1, 3))]
+        yield normalize_conductor(closure_small(gens, top))
+
+
 @lru_cache(maxsize=None)
 def corpus(seed, count, cap=15, local_only=True):
     """A reusable tuple of random good semigroups for property loops."""
@@ -187,6 +200,18 @@ def box_members(small, bound, low=None):
     for q in itertools.product(*(range(a, b + 1) for a, b in zip(low, bound))):
         if small.contains(q):
             yield q
+
+
+def meet_pair_scan(small):
+    """The meet check by the scan over all pairs of points: the reference,
+    witness order included, for the row kernels of
+    semigroup._meet_violations."""
+    pset = set(small.points)
+    for a in small.points:
+        for b in small.points:
+            if tuple(map(min, a, b)) not in pset:
+                return [semigroup._meet_violation(a, b)]
+    return []
 
 
 def sum_pair_scan(small):

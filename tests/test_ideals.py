@@ -50,6 +50,7 @@ from _corpus import (
     kernel_cases,
     ladder_duplication,
     meet_fixpoint,
+    meet_pair_scan,
     product_semigroup,
     stable_pair_loop,
     tail_pair_loop,
@@ -419,7 +420,7 @@ def test_absorption_by_a_member_above_the_top(dup_example):
 def _pair_scan_report(ambient, small):
     """validate_ideal_small_set with the pair scans in place of the bit
     rows."""
-    with mock.patch.object(ideals, "_meet_violations", semigroup._meet_pair_scan), \
+    with mock.patch.object(ideals, "_meet_violations", meet_pair_scan), \
             mock.patch.object(ideals, "_absorption_violations", absorption_pair_scan):
         return validate_ideal_small_set(ambient, small)
 

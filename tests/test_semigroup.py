@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from goodsgp import (
     DimensionMismatch,
+    GoodSemigroup,
     NotGoodSemigroup,
     Point,
     SmallSet,
@@ -41,11 +42,13 @@ import _data as data
 from _corpus import (
     PRODUCT3,
     box_members,
+    closures3,
     corpus,
     corrupt,
     kernel_cases,
     ladder_duplication,
     meet_fixpoint,
+    meet_pair_scan,
     product_semigroup,
     sum_pair_scan,
 )
@@ -381,7 +384,7 @@ def test_projections_of_random_instances_are_semigroups():
 
 def _pair_scan_report(small):
     """validate_small_set with the pair scans in place of the bit rows."""
-    with mock.patch.object(semigroup, "_meet_violations", semigroup._meet_pair_scan), \
+    with mock.patch.object(semigroup, "_meet_violations", meet_pair_scan), \
             mock.patch.object(semigroup, "_sum_violations", sum_pair_scan):
         return validate_small_set(small)
 
@@ -402,10 +405,38 @@ def _thinned_semigroups(draw):
     return small_set([p for p in small.points if p not in drop], small.top)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(st.one_of(_boxed_subsets(), _boxed_subsets(side=3, dim=3), _thinned_semigroups()))
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(st.one_of(
+    _boxed_subsets(),
+    _boxed_subsets(side=3, dim=3),
+    _boxed_subsets(side=4, dim=3),
+    _boxed_subsets(side=2, dim=4),
+    _thinned_semigroups(),
+))
 def test_row_kernel_reports_what_the_pair_scans_report(small):
     assert validate_small_set(small) == _pair_scan_report(small)
+
+
+def test_row_kernel_reports_what_the_pair_scans_report_on_n3_closures():
+    # seeded N^3 closures, each also with its middle point below the top
+    # dropped; the benchmark's product, whole, under each corruption that
+    # applies in N^3, and without (3, 3, 4), the meet of (3, 3, 5), (3, 6, 4)
+    cases = []
+    for small in closures3(3, 400):
+        pts, k = small.points, (len(small.points) - 1) // 2
+        cases += [small] + ([small_set(pts[:k] + pts[k + 1 :], small.top)] if len(pts) > 1 else [])
+    product = product_semigroup(*PRODUCT3).small
+    cases += [product, small_set([p for p in product.points if p != (3, 3, 4)], product.top)]
+    cases += [small_set(*corrupt(product.points, product.top, axiom)) for axiom in ("zero", "sum")]
+    seen = set()
+    for small in cases:
+        report = validate_small_set(small)
+        assert report == _pair_scan_report(small)
+        assert all(type(p) is Point for v in report.violations for p in v.witness)
+        if report.ok:
+            seen.add("local" if is_local(GoodSemigroup(small)) else "non-local")
+        seen.update(v.axiom for v in report.violations)
+    assert seen == {"local", "non-local", "zero", "meet", "sum", "witness", "conductor"}
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -563,14 +594,19 @@ def test_zero_and_conductor_reports_read_off_the_points(case):
     assert bool(got) == (axiom in ("zero", "conductor"))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
+@settings(derandomize=True, deadline=None, database=None, max_examples=600)
+@given(st.one_of(
+    _boxed_subsets(),
+    _thinned_semigroups(),
+    _boxed_subsets(side=3, dim=3),
+    _boxed_subsets(side=2, dim=4),
+))
 def test_meet_closure_matches_the_pairwise_fixpoint(small):
-    pts = meet_fixpoint(small.points)
-    rows = semigroup._meet_closure(small.rows, small.top)
-    assert rows == list(small_set(pts, small.top).rows)
-    # the same set lifted into N^3 goes through the general fixpoint
-    lifted = {tuple(p) + (0,) for p in small.points}
-    assert semigroup._meet_closure(lifted, tuple(small.top) + (0,)) == {
-        p + (0,) for p in pts
-    }
+    # N^2 by the right to left pass, N^3 and N^4 by the row kernel's
+    # fixpoint; a set of N^2 lifted into N^3 goes through the fixpoint too
+    cases = [small]
+    if small.dim == 2:
+        cases.append(small_set([(0,) + tuple(p) for p in small.points], (0,) + tuple(small.top)))
+    for s in cases:
+        closed = semigroup._meet_closure(s.rows, s.top)
+        assert closed == list(small_set(meet_fixpoint(s.points), s.top).rows)
