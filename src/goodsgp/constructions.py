@@ -1,13 +1,25 @@
 """Ways to build good semigroups of N^2 from one dimensional data.
 
-Each construction enumerates its membership rule on the conductor box,
-normalizes the conductor defensively, and runs full validation, so a
-returned object is always a genuine good semigroup.
+Each construction writes the small elements at its top as bit columns: one
+int per x in [0, top_0], with bit y set when (x, y) is a member.  With S, E
+and K the members of s, e and k*s in [0, top_1] as bits (_bits), and
+mask(y) the bits below y:
+
+* cartesian: column x is S_2 when x is in s_1, else 0.
+* duplication: column x holds bit x and E & mask(x) when x is in s, and
+  the bits of S above x when x is in e.
+* amalgamation: column x holds bit k*x and E & mask(k*x) when x is in s,
+  and E with the bits of K from k*x on when x is in E'.
+* from_maximal_elements: column x starts as S_2 when x is in s_1; each
+  listed a keeps the bits up to a_1 of column a_0 and clears bit a_1 of
+  the columns right of a_0.
+
+The columns then have their conductor normalized defensively and go
+through full validation, so a returned object is always a genuine good
+semigroup.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import ConstructionError
 from .lattice import Point
@@ -33,14 +45,15 @@ __all__ = [
 ]
 
 
-def _from_membership(member, top) -> GoodSemigroup:
-    top = Point(top)
-    pts = [
-        Point(p)
-        for p in itertools.product(*(range(t + 1) for t in top))
-        if member(p)
-    ]
-    small = normalize_conductor(SmallSet(tuple(sorted(pts)), top))
+def _bits(member, hi) -> int:
+    """The int with bit v set for each v in [0, hi] that member holds."""
+    return sum(1 << v for v in range(hi + 1) if member(v))
+
+
+def _from_columns(cols, top) -> GoodSemigroup:
+    """The good semigroup of the bit columns of [0, top], which hold the
+    top and no bit above top_1."""
+    small = normalize_conductor(SmallSet._of_rows(cols, Point(top)))
     return good_semigroup(small)
 
 
@@ -59,14 +72,17 @@ def duplication(s: NumericalSemigroup, e: NumericalIdeal) -> GoodSemigroup:
     for v in range(e.conductor, s.conductor):
         if not ns_contains(s, v):
             raise ConstructionError("ideal element %d is outside the semigroup" % (v,))
-
-    def member(p):
-        x, y = p
-        if x == y:
-            return ns_contains(s, x)
-        return ns_contains(s, max(x, y)) and ideal_contains(e, min(x, y))
-
-    return _from_membership(member, (e.conductor, e.conductor))
+    c = e.conductor
+    S, E = _bits(s.__contains__, c), _bits(e.__contains__, c)
+    cols = []
+    for x in range(c + 1):
+        col = 0
+        if S >> x & 1:  # (x, x), and (x, y) for y < x in e
+            col = 1 << x | E & (1 << x) - 1
+        if E >> x & 1:  # (x, y) for y > x in s
+            col |= S >> x + 1 << x + 1
+        cols.append(col)
+    return _from_columns(cols, (c, c))
 
 
 def amalgamation(
@@ -96,35 +112,25 @@ def amalgamation(
                 "%d times %d falls outside the target semigroup" % (k, v)
             )
     ginv = ideal_preimage_scale(e, k, s)
-    top = (ginv.conductor, e.conductor)
-
-    def member(p):
-        x, y = p
-        if ns_contains(s, x) and y == k * x:
-            return True
-        if ideal_contains(ginv, x) and ideal_contains(e, y):
-            return True
-        if ns_contains(s, x) and ideal_contains(e, y) and y < k * x:
-            return True
-        if (
-            ideal_contains(ginv, x)
-            and y % k == 0
-            and ns_contains(s, y // k)
-            and y // k >= x
-        ):
-            return True
-        return False
-
-    return _from_membership(member, top)
+    t0, t1 = ginv.conductor, e.conductor
+    E = _bits(e.__contains__, t1)
+    K = _bits(lambda y: y % k == 0 and ns_contains(s, y // k), t1)
+    cols = []
+    for x in range(t0 + 1):
+        kx, col = k * x, 0
+        if ns_contains(s, x):  # (x, k*x), and (x, y) for y < k*x in e
+            col = E & (1 << kx) - 1 | (1 << kx if kx <= t1 else 0)
+        if ideal_contains(ginv, x):  # E' x e, and (x, k*u) for u >= x in s
+            col |= E | K >> kx << kx
+        cols.append(col)
+    return _from_columns(cols, (t0, t1))
 
 
 def cartesian(s1: NumericalSemigroup, s2: NumericalSemigroup) -> GoodSemigroup:
     """The product semigroup, with conductor (c1, c2)."""
-
-    def member(p):
-        return ns_contains(s1, p[0]) and ns_contains(s2, p[1])
-
-    return _from_membership(member, (s1.conductor, s2.conductor))
+    S2 = _bits(s2.__contains__, s2.conductor)
+    cols = [S2 if ns_contains(s1, x) else 0 for x in range(s1.conductor + 1)]
+    return _from_columns(cols, (s1.conductor, s2.conductor))
 
 
 def from_maximal_elements(
@@ -147,20 +153,12 @@ def from_maximal_elements(
             )
     if not mpts:
         return cartesian(s1, s2)
-    top = (
-        max(s1.conductor, 1 + max(a[0] for a in mpts)),
-        max(s2.conductor, 1 + max(a[1] for a in mpts)),
-    )
-
-    def member(p):
-        x, y = p
-        if not (ns_contains(s1, x) and ns_contains(s2, y)):
-            return False
-        for a in mpts:
-            if x == a[0] and y > a[1]:
-                return False
-            if y == a[1] and x > a[0]:
-                return False
-        return True
-
-    return _from_membership(member, top)
+    t0 = max(s1.conductor, 1 + max(a[0] for a in mpts))
+    t1 = max(s2.conductor, 1 + max(a[1] for a in mpts))
+    S2 = _bits(s2.__contains__, t1)
+    cols = [S2 if ns_contains(s1, x) else 0 for x in range(t0 + 1)]
+    for a0, a1 in mpts:
+        cols[a0] &= (2 << a1) - 1
+        for x in range(a0 + 1, t0 + 1):
+            cols[x] &= ~(1 << a1)
+    return _from_columns(cols, (t0, t1))

@@ -15,9 +15,9 @@ A small set is stored as bit rows (SmallSet.rows): one int per prefix of
 the first n - 1 coordinates of [0, C], in itertools.product order, with bit
 y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 Its points are derived from the rows when read.  The closures, the row fold
-of normalize_conductor and the ideal constructors build rows directly, and
-every check but the witness check for n != 2 reads them, so a result no
-caller lists holds no Points.
+of normalize_conductor, the constructions and the ideal constructors build
+rows directly, and every check but the witness check for n != 2 reads them,
+so a result no caller lists holds no Points.
 The members of a box, rays and cone included, are read off the rows too
 (_box_rows), by the tail, sum, absorption, subset and saturation routines.
 

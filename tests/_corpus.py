@@ -18,17 +18,21 @@ from goodsgp import (
     ConstructionError,
     NotGoodSemigroup,
     Point,
+    SmallSet,
     amalgamation,
     cartesian,
     closure_small,
     duplication,
     good_semigroup,
+    ideal_contains,
     ideal_from_generators,
+    ideal_preimage_scale,
     is_local,
     join,
     membership_in_closure,
     normalize_conductor,
     ns_arf_closure,
+    ns_contains,
     ns_element_at,
     ns_from_generators,
     projection,
@@ -62,14 +66,20 @@ def random_numerical(rng, max_conductor=10):
             return s
 
 
+def duplication_args(rng, cap=15):
+    """Random arguments of duplication: a random numerical semigroup and an
+    ideal of it generated by one or two members."""
+    s = random_numerical(rng, max_conductor=max(2, cap // 2))
+    members = [x for x in s.small_elements if 0 < x <= cap // 2]
+    members += [s.conductor + k for k in range(0, 3)]
+    gens = sorted(rng.sample(members, rng.randint(1, min(2, len(members)))))
+    return s, ideal_from_generators(s, gens)
+
+
 def random_duplication(rng, cap=15):
     """Duplication of a random numerical semigroup along a random ideal."""
     while True:
-        s = random_numerical(rng, max_conductor=max(2, cap // 2))
-        members = [x for x in s.small_elements if 0 < x <= cap // 2]
-        members += [s.conductor + k for k in range(0, 3)]
-        gens = sorted(rng.sample(members, rng.randint(1, min(2, len(members)))))
-        e = ideal_from_generators(s, gens)
+        s, e = duplication_args(rng, cap)
         if e.conductor > cap:
             continue
         try:
@@ -78,15 +88,22 @@ def random_duplication(rng, cap=15):
             continue
 
 
+def amalgamation_args(rng, cap=15):
+    """Random arguments of amalgamation: numerical semigroups s and t, an
+    ideal of t generated by one or two members, and a factor k in 1..3;
+    k*s need not land in t."""
+    s = random_numerical(rng, max_conductor=max(2, cap // 3))
+    t = random_numerical(rng, max_conductor=max(2, cap // 2))
+    k = rng.randint(1, 3)
+    members = [x for x in t.small_elements if x > 0] + [t.conductor + 1]
+    gens = sorted(rng.sample(members, rng.randint(1, min(2, len(members)))))
+    return s, t, ideal_from_generators(t, gens), k
+
+
 def random_amalgamation(rng, cap=15):
     """Amalgamation of two random numerical semigroups along an ideal."""
     while True:
-        s = random_numerical(rng, max_conductor=max(2, cap // 3))
-        t = random_numerical(rng, max_conductor=max(2, cap // 2))
-        k = rng.randint(1, 3)
-        members = [x for x in t.small_elements if x > 0] + [t.conductor + 1]
-        gens = sorted(rng.sample(members, rng.randint(1, min(2, len(members)))))
-        e = ideal_from_generators(t, gens)
+        s, t, e, k = amalgamation_args(rng, cap)
         if e.conductor > cap:
             continue
         try:
@@ -95,6 +112,151 @@ def random_amalgamation(rng, cap=15):
             continue
         if all(c <= cap for c in g.conductor):
             return g
+
+
+# The constructions as the membership scan they replaced: each member rule
+# called on every cell of the top's box, with the same input checks, the
+# reference for the bit columns of goodsgp.constructions.
+
+
+def _from_membership(member, top):
+    top = Point(top)
+    pts = [
+        Point(p)
+        for p in itertools.product(*(range(t + 1) for t in top))
+        if member(p)
+    ]
+    small = normalize_conductor(SmallSet(tuple(sorted(pts)), top))
+    return good_semigroup(small)
+
+
+def _duplication_by_membership(s, e):
+    """The good semigroup {(a, a) : a in s} joined with e x e, closed under meets.
+
+    Requires e to be an ideal of s contained in s.  A pair (x, y) with x != y
+    belongs exactly when min(x, y) is in e and max(x, y) is in s; the
+    conductor is (c, c) for c the conductor of e.
+    """
+    if e.ambient != s:
+        raise ConstructionError("the ideal is not an ideal of the given semigroup")
+    for v in e.small_elements:
+        if not ns_contains(s, v):
+            raise ConstructionError("ideal element %d is outside the semigroup" % (v,))
+    for v in range(e.conductor, s.conductor):
+        if not ns_contains(s, v):
+            raise ConstructionError("ideal element %d is outside the semigroup" % (v,))
+
+    def member(p):
+        x, y = p
+        if x == y:
+            return ns_contains(s, x)
+        return ns_contains(s, max(x, y)) and ideal_contains(e, min(x, y))
+
+    return _from_membership(member, (e.conductor, e.conductor))
+
+
+def _amalgamation_by_membership(s, t, e, k):
+    """The good semigroup generated by {(a, k*a) : a in s} and the preimage
+    pairing with e, closed under meets.
+
+    e must be an ideal of t and k*s must land inside t.  Writing g for
+    multiplication by k and E' = {x in s : k*x in e}, the members are
+
+        (x, k*x)            for x in s,
+        E' x e,
+        (x, y) with x in s, y in e, y < k*x,
+        (x, k*u) with x in E', u in s, u >= x,
+
+    and the conductor is (conductor of E', conductor of e).
+    """
+    if k < 1:
+        raise ConstructionError("the scale factor must be a positive integer")
+    if e.ambient != t:
+        raise ConstructionError("the ideal is not an ideal of the target semigroup")
+    top_check = max(s.conductor, -(-t.conductor // k))
+    for v in list(s.small_elements) + list(range(s.conductor, top_check + 1)):
+        if not ns_contains(t, k * v):
+            raise ConstructionError(
+                "%d times %d falls outside the target semigroup" % (k, v)
+            )
+    ginv = ideal_preimage_scale(e, k, s)
+    top = (ginv.conductor, e.conductor)
+
+    def member(p):
+        x, y = p
+        if ns_contains(s, x) and y == k * x:
+            return True
+        if ideal_contains(ginv, x) and ideal_contains(e, y):
+            return True
+        if ns_contains(s, x) and ideal_contains(e, y) and y < k * x:
+            return True
+        if (
+            ideal_contains(ginv, x)
+            and y % k == 0
+            and ns_contains(s, y // k)
+            and y // k >= x
+        ):
+            return True
+        return False
+
+    return _from_membership(member, top)
+
+
+def _cartesian_by_membership(s1, s2):
+    """The product semigroup, with conductor (c1, c2)."""
+
+    def member(p):
+        return ns_contains(s1, p[0]) and ns_contains(s2, p[1])
+
+    return _from_membership(member, (s1.conductor, s2.conductor))
+
+
+def _from_maximal_elements_by_membership(s1, s2, maximals):
+    """The largest subset of s1 x s2 admitting the given points as complete
+    maximal elements: pairs sharing a coordinate with a listed point and
+    strictly exceeding it on the other axis are removed.
+
+    Whether the survivor set really is a good semigroup depends on the list;
+    validation raises NotGoodSemigroup when it is not.
+    """
+    mpts = [Point(a) for a in maximals]
+    for a in mpts:
+        if a.dim != 2:
+            raise ConstructionError("maximal elements must be points of N^2")
+        if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
+            raise ConstructionError(
+                "listed point %s is outside the product" % (tuple(a),)
+            )
+    if not mpts:
+        return _cartesian_by_membership(s1, s2)
+    top = (
+        max(s1.conductor, 1 + max(a[0] for a in mpts)),
+        max(s2.conductor, 1 + max(a[1] for a in mpts)),
+    )
+
+    def member(p):
+        x, y = p
+        if not (ns_contains(s1, x) and ns_contains(s2, y)):
+            return False
+        for a in mpts:
+            if x == a[0] and y > a[1]:
+                return False
+            if y == a[1] and x > a[0]:
+                return False
+        return True
+
+    return _from_membership(member, top)
+
+
+def construction_by_membership(kind, *args):
+    """The construction of the given kind ("duplication", "amalgamation",
+    "cartesian" or "maximal") on args, by its membership scan."""
+    return {
+        "duplication": _duplication_by_membership,
+        "amalgamation": _amalgamation_by_membership,
+        "cartesian": _cartesian_by_membership,
+        "maximal": _from_maximal_elements_by_membership,
+    }[kind](*args)
 
 
 def random_closure(rng, cap=15, local_only=True):

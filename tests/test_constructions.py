@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from goodsgp import (
     ConstructionError,
+    GoodSgpError,
     amalgamation,
     cartesian,
     duplication,
@@ -16,6 +18,7 @@ from goodsgp import (
     gs_contains,
     ideal_contains,
     ideal_from_generators,
+    ideal_preimage_scale,
     maximal_elements,
     ns_contains,
     ns_from_generators,
@@ -23,7 +26,14 @@ from goodsgp import (
 )
 
 import _data as data
-from _corpus import random_amalgamation, random_duplication, random_numerical
+from _corpus import (
+    amalgamation_args,
+    construction_by_membership,
+    duplication_args,
+    random_amalgamation,
+    random_duplication,
+    random_numerical,
+)
 
 
 def test_duplication_golden(dup_example):
@@ -120,3 +130,86 @@ def test_random_constructions_validate():
         assert validate_small_set(a.small).ok
         c = cartesian(random_numerical(rng, 8), random_numerical(rng, 8))
         assert validate_small_set(c.small).ok
+
+
+def _outcome(build, *args):
+    """The points and top a construction returns, or the type and message
+    of what it raises."""
+    try:
+        g = build(*args)
+    except (GoodSgpError, ValueError) as exc:
+        return type(exc), str(exc)
+    return g.small.points, g.small.top
+
+
+def _maximal_args(rng):
+    """Random factors and a list of zero to four points: points of the
+    product, points past the conductors, points off the product and, now
+    and then, a point of N^3."""
+    s1, s2 = random_numerical(rng, 10), random_numerical(rng, 10)
+    pts = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.6:
+            pts.append((rng.choice(s1.small_elements), rng.choice(s2.small_elements)))
+        elif roll < 0.85:
+            pts.append((s1.conductor + rng.randint(0, 4), s2.conductor + rng.randint(0, 4)))
+        elif roll < 0.97:
+            pts.append((rng.randint(0, 12), rng.randint(0, 12)))
+        else:
+            pts.append((0, 0, 0))
+    return s1, s2, pts
+
+
+def test_constructions_match_the_membership_scan():
+    # the bit columns give the points, top and errors of the member rules
+    # called on every cell of the box, on 2,400 seeded inputs of the four
+    # constructions; amalgamations pass factors 1 to 3, some with k * x
+    # past the top, and maximal lists are empty, past the conductors or
+    # not good
+    rng = random.Random(1515)
+    cases = []
+    for _ in range(500):
+        cases.append(("duplication", duplication, duplication_args(rng, 24)))
+    for _ in range(200):  # ideals generated by any values, some outside s
+        s = random_numerical(rng, 12)
+        e = ideal_from_generators(s, rng.sample(range(0, 14), rng.randint(1, 2)))
+        cases.append(("duplication", duplication, (s, e)))
+    for _ in range(700):
+        cases.append(("amalgamation", amalgamation, amalgamation_args(rng, 24)))
+    for _ in range(300):
+        args = random_numerical(rng, 14), random_numerical(rng, 14)
+        cases.append(("cartesian", cartesian, args))
+    for _ in range(700):
+        cases.append(("maximal", from_maximal_elements, _maximal_args(rng)))
+    seen = collections.Counter()
+    for kind, build, args in cases:
+        got = _outcome(build, *args)
+        assert got == _outcome(construction_by_membership, kind, *args), (kind, args)
+        seen[kind, isinstance(got[0], type)] += 1
+        if kind == "amalgamation" and not isinstance(got[0], type):
+            s, t, e, k = args
+            seen["past the top"] += k * ideal_preimage_scale(e, k, s).conductor > e.conductor
+        if kind == "maximal":
+            seen["empty list"] += not args[2]
+    for kind in ("duplication", "amalgamation", "maximal"):
+        assert seen[kind, True] >= 20 and seen[kind, False] >= 100
+    assert seen["past the top"] >= 20 and seen["empty list"] >= 20
+
+
+def test_construction_results_keep_only_their_rows(ns23):
+    # the constructions build bit columns; neither they nor their
+    # validation may leave the Points or any other table on the data
+    t = ns_from_generators([3, 4])
+    built = (
+        duplication(ns23, ideal_from_generators(ns23, [6])),
+        amalgamation(ns23, t, ideal_from_generators(t, [3]), 2),
+        cartesian(ns_from_generators([3, 5, 7]), ns_from_generators([4, 5])),
+        from_maximal_elements(
+            ns_from_generators(data.MAXIMAL_LEFT),
+            ns_from_generators(data.MAXIMAL_RIGHT),
+            data.MAXIMAL_POINTS,
+        ),
+    )
+    for g in built:
+        assert set(vars(g.small)) == {"rows", "top"}
