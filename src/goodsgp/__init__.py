@@ -30,10 +30,8 @@ from .errors import (
 )
 from .gensys import (
     is_minimal_system,
-    membership_in_closure,
     minimal_generating_system,
     minimal_ideal_generating_system,
-    monoid_fiber_reach,
 )
 from .ideals import (
     GoodRelativeIdeal,
@@ -71,11 +69,7 @@ from .semigroup import (
     SmallSet,
     ValidationReport,
     Violation,
-    border_axes,
-    borders,
     closure_small,
-    delta_fiber_nonempty,
-    fiber_reaches,
     good_semigroup,
     gs_contains,
     gs_equal,
@@ -136,11 +130,7 @@ __all__ = [
     "gs_contains",
     "gs_subset",
     "gs_equal",
-    "border_axes",
-    "borders",
     "is_local",
-    "fiber_reaches",
-    "delta_fiber_nonempty",
     "maximal_elements",
     "projection",
     # constructions
@@ -149,8 +139,6 @@ __all__ = [
     "cartesian",
     "from_maximal_elements",
     # generating systems
-    "monoid_fiber_reach",
-    "membership_in_closure",
     "is_minimal_system",
     "minimal_generating_system",
     "minimal_ideal_generating_system",

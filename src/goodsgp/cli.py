@@ -300,7 +300,7 @@ def cmd_canonical(args) -> int:
     _emit(
         args,
         {
-            "small": [list(p) for p in k.small.points],
+            "small": _small_points(k.small),
             "conductor": list(k.small.top),
             "generators": [list(p) for p in canonical_generators(s)],
         },
@@ -326,7 +326,7 @@ def cmd_arf_closure(args) -> int:
     _emit(
         args,
         {
-            "small": [list(p) for p in t.small.points],
+            "small": _small_points(t.small),
             "conductor": list(t.conductor),
             "local": is_local(s),
         },

@@ -28,48 +28,22 @@ a_i on axis i and at least a_j on the other.  Candidates are positive, so
 a sum of two or more on the fiber of a is h + y, y a sum of candidates
 other than a; once the closure of G is Small(S), such y reach on each axis
 what the nonzero members of S reach up to the conductor, so no knapsack
-is needed.  membership_in_closure and monoid_fiber_reach keep the knapsack
-over sums (_reach) as a public check of the lemma.
+over sums is needed.
 """
 
 from __future__ import annotations
 
 from math import inf
 
-from .errors import (
-    DimensionMismatch, NonLocalError, NotAGeneratingSystem, UnsupportedDimension
-)
+from .errors import NonLocalError, NotAGeneratingSystem, UnsupportedDimension
 from .lattice import Point, meet
-from .semigroup import GoodSemigroup, _row_tuples, closure_small, is_local
+from .semigroup import GoodSemigroup, _require_dim2, _row_tuples, closure_small, is_local
 
 __all__ = [
-    "monoid_fiber_reach",
-    "membership_in_closure",
     "is_minimal_system",
     "minimal_generating_system",
     "minimal_ideal_generating_system",
 ]
-
-
-def _clean_generators(gens, top):
-    """The nonzero generators as Points, for a target or conductor in N^2."""
-    if top.dim != 2:
-        raise UnsupportedDimension("closure membership is implemented for n = 2 only")
-    out = []
-    for g in gens:
-        g = Point(g)
-        if g.dim != 2:
-            raise DimensionMismatch("generator %r has wrong dimension" % (g,))
-        if any(x < 0 for x in g):
-            raise ValueError("generator %r has a negative coordinate" % (g,))
-        if not any(g):
-            continue  # 0 generates nothing
-        if min(g) == 0:
-            raise NonLocalError(
-                "generator %s lies on an axis; the ambient is not local" % (tuple(g),)
-            )
-        out.append(g)
-    return out
 
 
 def _highs(gens, axis) -> dict:
@@ -80,61 +54,6 @@ def _highs(gens, axis) -> dict:
         if g[1 - axis] > high.get(g[axis], -1):
             high[g[axis]] = g[1 - axis]
     return high
-
-
-def _reach(gens, axis, last, cap):
-    """The reach table of clean generators on one axis: for u in [0, last],
-    the largest other-axis coordinate, capped at cap >= 0, of the sums with
-    axis coordinate u of any number of generators (the empty sum is 0); -1
-    when there is none."""
-    high = _highs(gens, axis)
-    steps = sorted(high.items())
-    some = [0] + [-1] * last
-    for u in range(1, last + 1):
-        best = high.get(u, -1)
-        for a, c in steps:
-            if a >= u:
-                break
-            if some[u - a] >= 0:
-                best = max(best, some[u - a] + c)
-        some[u] = min(best, cap)
-    return some
-
-
-def monoid_fiber_reach(gens, axis: int, target) -> bool:
-    """Can a sum of generators hit target[axis] exactly while reaching at
-    least target on the other axis?  n = 2, all generators off the axes."""
-    target = Point(target)
-    if target.dim != 2:
-        raise UnsupportedDimension("fiber reachability is implemented for n = 2 only")
-    if axis not in (0, 1):
-        raise IndexError("axis %d out of range" % (axis,))
-    gens = _clean_generators(gens, target)
-    v, w = target[axis], max(target[1 - axis], 0)
-    # the table reads -1 where no sum hits v, so a negative floor must not
-    # be compared against it
-    return v >= 0 and _reach(gens, axis, v, w)[v] >= w
-
-
-def membership_in_closure(gens, conductor, a) -> bool:
-    """Whether a lies in the closure of gens truncated at the conductor.
-
-    For a strictly below the conductor on every axis this asks for fiber
-    reachability on both axes; axes where a touches the conductor are free.
-    """
-    d = Point(conductor)
-    a = Point(a)
-    if a.dim != d.dim:
-        raise DimensionMismatch("point and conductor dimensions differ")
-    if any(x < 0 for x in a) or any(x > t for x, t in zip(a, d)):
-        raise ValueError("point %s is outside the conductor box" % (tuple(a),))
-    gens = _clean_generators(gens, d)
-    if a == d:
-        return bool(gens) or not any(d)
-    return all(
-        _reach(gens, i, d[i] - 1, d[1 - i])[a[i]] >= a[1 - i]
-        for i in (0, 1) if a[i] != d[i]
-    )
 
 
 def _removable(cands, corner, ambient: GoodSemigroup) -> list:
@@ -180,7 +99,8 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
         )
     if len(live) < len(cands):
         return False  # contains 0, which is always removable
-    live = _clean_generators(live, top) if live else live
+    if live:
+        _require_dim2(s, "is_minimal_system")
     return not any(_removable(live, top, s))
 
 
@@ -192,7 +112,8 @@ def minimal_generating_system(s: GoodSemigroup) -> tuple:
         raise NonLocalError("minimal generating systems require a local semigroup")
     top = s.small.top
     cands = [p for p in s.small.points if any(p)]
-    cands = _clean_generators(cands, top) if cands else cands
+    if cands:
+        _require_dim2(s, "minimal_generating_system")
     return tuple(a for a, out in zip(cands, _removable(cands, top, s)) if not out)
 
 

@@ -51,7 +51,7 @@ The members of a box, rays and cone included, are read off the rows too
 The checks report the same witnesses, in the same order, as the pair scans
 they replace; only the witness pair scan remains, for n != 2.  The zero
 check reads bit 0 of the first row and the conductor check reads
-membership, in every dimension.  Fiber queries (fiber_reaches, canonical
+membership, in every dimension.  Fiber queries (maximal elements, canonical
 ideals and minimal generating systems) all read one fiber-top table,
 cached on the set (SmallSet.fiber_top); validation reads no table, so
 validated data keeps only its rows.
@@ -87,11 +87,8 @@ __all__ = [
     "gs_contains",
     "gs_subset",
     "gs_equal",
-    "borders",
-    "border_axes",
     "is_local",
     "maximal_elements",
-    "delta_fiber_nonempty",
     "projection",
 ]
 
@@ -259,17 +256,6 @@ class GoodSemigroup:
 
     def __contains__(self, p):
         return gs_contains(self, p)
-
-
-def fiber_reaches(s: GoodSemigroup, axis: int, value: int, floor: int) -> bool:
-    """Does some member of s have exactly `value` on `axis` and at least
-    `floor` on the other axis?  Rays from the border and the conductor cone
-    count as members.  n = 2 only."""
-    if s.dim != 2:
-        raise UnsupportedDimension("fiber queries are implemented for n = 2 only")
-    if axis not in (0, 1):
-        raise IndexError("axis %d out of range" % (axis,))
-    return s.small.fiber_top(axis, value) >= floor
 
 
 _head = itemgetter(slice(-1))  # a point's prefix: all but its last coordinate
@@ -879,23 +865,6 @@ def gs_equal(s: GoodSemigroup, t: GoodSemigroup) -> bool:
     return s.small == t.small
 
 
-def border_axes(small: SmallSet, p) -> frozenset:
-    """Axes on which p touches the top."""
-    return frozenset(i for i, (x, t) in enumerate(zip(p, small.top)) if x == t)
-
-
-def borders(s: GoodSemigroup, axes) -> tuple:
-    """Small elements whose coordinates on the given axes equal the conductor's."""
-    axes = frozenset(axes)
-    top = s.small.top
-    for i in axes:
-        if not 0 <= i < s.dim:
-            raise IndexError("axis %d out of range" % (i,))
-    return tuple(
-        p for p in s.small.points if all(p[i] == top[i] for i in axes)
-    )
-
-
 def is_local(s: GoodSemigroup) -> bool:
     """True when 0 is the only member with a zero coordinate."""
     return s.dim == 1 or _rows_local(s.small.rows, s.small.top)
@@ -918,24 +887,13 @@ def _require_dim2(s: GoodSemigroup, op: str):
         raise UnsupportedDimension("%s is implemented for n = 2 only" % (op,))
 
 
-def delta_fiber_nonempty(s: GoodSemigroup, x, i: int) -> bool:
-    """Does some member share coordinate i with x and strictly dominate it
-    on the other axis?  x may be any integer point."""
-    _require_dim2(s, "delta_fiber_nonempty")
-    if i not in (0, 1):
-        raise IndexError("axis %d out of range" % (i,))
-    x = tuple(x)
-    # strict domination on the other axis means reaching w + 1 there
-    return fiber_reaches(s, i, x[i], x[1 - i] + 1)
-
-
 def maximal_elements(s: GoodSemigroup) -> tuple:
     """Small elements not dominated inside the semigroup along any single axis."""
     _require_dim2(s, "maximal_elements")
     return tuple(
         p
         for p in s.small.points
-        if not delta_fiber_nonempty(s, p, 0) and not delta_fiber_nonempty(s, p, 1)
+        if s.small.fiber_top(0, p[0]) <= p[1] and s.small.fiber_top(1, p[1]) <= p[0]
     )
 
 

@@ -29,7 +29,6 @@ from goodsgp import (
     ideal_preimage_scale,
     is_local,
     join,
-    membership_in_closure,
     normalize_conductor,
     ns_arf_closure,
     ns_contains,
@@ -511,6 +510,50 @@ def arf_triple_scan(s):
     )
 
 
+def _reach(gens, axis, last, cap):
+    """The knapsack over sums of positive generators on one axis: for u in
+    [0, last], the largest other-axis coordinate, capped at cap >= 0, of
+    the sums with axis coordinate u of any number of generators (the empty
+    sum is 0); -1 when there is none."""
+    high = _fiber_top(gens, axis)
+    steps = sorted(high.items())
+    some = [0] + [-1] * last
+    for u in range(1, last + 1):
+        best = high.get(u, -1)
+        for a, c in steps:
+            if a >= u:
+                break
+            if some[u - a] >= 0:
+                best = max(best, some[u - a] + c)
+        some[u] = min(best, cap)
+    return some
+
+
+def monoid_fiber_reach(gens, axis, target):
+    """Whether a sum of generators of N^2, all off the axes, hits
+    target[axis] exactly while reaching at least target on the other axis."""
+    gens = [g for g in gens if any(g)]  # 0 generates nothing
+    v, w = target[axis], max(target[1 - axis], 0)
+    # the table reads -1 where no sum hits v, so a negative floor must not
+    # be compared against it
+    return v >= 0 and _reach(gens, axis, v, w)[v] >= w
+
+
+def membership_in_closure(gens, conductor, a):
+    """Whether a point a of [0, conductor] lies in the closure of gens
+    truncated at the conductor, by the knapsack: the elimination reference
+    for the removal rule of minimal generating systems (n = 2, generators
+    off the axes).  Below the conductor on every axis this asks for fiber
+    reachability on both axes; axes where a touches the conductor are free."""
+    gens = [g for g in gens if any(g)]  # 0 generates nothing
+    if tuple(a) == tuple(conductor):
+        return bool(gens) or not any(conductor)
+    return all(
+        _reach(gens, i, conductor[i] - 1, conductor[1 - i])[a[i]] >= a[1 - i]
+        for i in (0, 1) if a[i] != conductor[i]
+    )
+
+
 def sequential_elimination(order, generated):
     """The elimination that the uniqueness of minimal systems makes order
     free: walk the candidates in the given order and drop each one that
@@ -525,7 +568,7 @@ def sequential_elimination(order, generated):
 
 def shuffled_eliminations(s, rng, times):
     """sequential_elimination of the nonzero small elements of s in `times`
-    shuffled orders, by the public truncated closure membership test."""
+    shuffled orders, by the knapsack membership_in_closure."""
     top = s.small.top
     cands = [p for p in s.small.points if any(p)]
     for _ in range(times):

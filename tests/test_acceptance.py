@@ -32,7 +32,6 @@ from goodsgp import (
     is_minimal_system,
     is_symmetric,
     maximal_elements,
-    membership_in_closure,
     minimal_generating_system,
     normalize_conductor,
     ns_arf_closure,
@@ -43,7 +42,7 @@ from goodsgp import (
 )
 
 import _data as data
-from _corpus import corpus, shuffled_eliminations
+from _corpus import corpus, membership_in_closure, shuffled_eliminations
 
 
 def _verdict(number, ok, note=""):

@@ -34,6 +34,12 @@ _CUBE = {
     ],
     "conductor": [2, 2, 2],
 }
+# a local good semigroup of N^3
+_LOCAL3 = {
+    "kind": "small",
+    "small": [[0, 0, 0], [1, 1, 3], [1, 2, 4], [2, 1, 3], [2, 2, 6]],
+    "conductor": [2, 2, 6],
+}
 
 
 @pytest.fixture()
@@ -176,6 +182,21 @@ def test_is_mingens(capsys, dup_doc):
     payload = json.loads(out)
     assert payload["generating"] is False and payload["is_minimal"] is False
     assert "reason" in payload
+
+
+def test_generating_systems_refuse_three_dimensions_by_name(capsys, tmp_path):
+    doc = _write(tmp_path, "local3.json", _LOCAL3)
+    code, out, err = _run(capsys, ["mingens", doc])
+    assert (code, out) == (3, "")
+    assert err == "error: minimal_generating_system is implemented for n = 2 only\n"
+    code, out, err = _run(capsys, ["is-mingens", doc, "--gens", "[[1,1,3],[1,2,4],[2,1,3]]"])
+    assert (code, out) == (3, "")
+    assert err == "error: is_minimal_system is implemented for n = 2 only\n"
+    # a set that does not generate is reported before the dimension matters
+    code, out, _ = _run(capsys, ["is-mingens", doc, "--gens", "[[1,1,1]]"])
+    assert code == 0 and json.loads(out)["generating"] is False
+    code, out, _ = _run(capsys, ["maximal", doc])
+    assert (code, out) == (3, "")
 
 
 def test_maximal(capsys, tmp_path):

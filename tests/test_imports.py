@@ -1,10 +1,14 @@
-"""The library is stdlib-only: every import is goodsgp or the standard library."""
+"""The library is stdlib-only: every import is goodsgp or the standard
+library, and every public name it lists resolves."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import goodsgp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "goodsgp"
 
@@ -29,3 +33,20 @@ def test_library_imports_only_itself_and_the_standard_library():
         if root != "goodsgp" and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_every_listed_public_name_resolves():
+    modules = [goodsgp] + [
+        importlib.import_module("goodsgp." + path.stem)
+        for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+    ]
+    missing = [
+        (mod.__name__, name)
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
+    namespace = {}
+    exec("from goodsgp import *", namespace)
+    assert set(goodsgp.__all__) <= set(namespace)

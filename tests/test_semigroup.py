@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import inf
 from operator import add
 from unittest import mock
 
@@ -19,10 +20,6 @@ from goodsgp import (
     arf_closure,
     brute_member,
     closure_small,
-    delta_fiber_nonempty,
-    border_axes,
-    borders,
-    fiber_reaches,
     good_semigroup,
     gs_contains,
     gs_equal,
@@ -318,15 +315,6 @@ def test_gs_subset_matches_brute_containment_on_random_pairs():
     assert {(2, True), (2, False), (3, True), (3, False)} <= set(verdicts)
 
 
-def test_borders_of_the_duplication_example(dup_example):
-    assert borders(dup_example, (0,)) == (Point((8, 6)), Point((8, 8)))
-    assert borders(dup_example, (1,)) == (Point((6, 8)), Point((8, 8)))
-    assert borders(dup_example, (0, 1)) == (Point((8, 8)),)
-    assert border_axes(dup_example.small, (8, 6)) == frozenset((0,))
-    with pytest.raises(IndexError):
-        borders(dup_example, (2,))
-
-
 def test_locality(dup_example, amalgam_example, product_nonlocal):
     assert is_local(dup_example)
     assert is_local(amalgam_example)
@@ -338,9 +326,10 @@ def test_delta_fibers_and_maximal_elements(conductor_example):
     got = maximal_elements(conductor_example)
     assert data.points(got) == data.points(data.CONDUCTOR_MAXIMALS)
     # a maximal element has no member strictly beyond it on either fiber
+    small = conductor_example.small
     for p in got:
-        assert not delta_fiber_nonempty(conductor_example, p, 0)
-        assert not delta_fiber_nonempty(conductor_example, p, 1)
+        assert small.fiber_top(0, p[0]) == p[1]
+        assert small.fiber_top(1, p[1]) == p[0]
 
 
 def test_projections(dup_example, amalgam_example):
@@ -354,15 +343,14 @@ def test_projections(dup_example, amalgam_example):
 
 def test_fiber_reaches(dup_example):
     # x = 6 carries members up to y = 8 and onward along the ray
-    assert fiber_reaches(dup_example, 0, 6, 8)
-    assert fiber_reaches(dup_example, 0, 6, 100)
-    assert not fiber_reaches(dup_example, 0, 7, 8)
-    assert fiber_reaches(dup_example, 0, 8, 0)
-    assert not fiber_reaches(dup_example, 0, -1, 0)
-    assert fiber_reaches(dup_example, 0, 20, 0)  # past the conductor
-    for axis in (-1, 2):
-        with pytest.raises(IndexError, match="axis %d out of range" % (axis,)):
-            fiber_reaches(dup_example, axis, 3, 0)
+    fiber_top = dup_example.small.fiber_top
+    assert fiber_top(0, 6) == inf
+    assert fiber_top(0, 7) == 7
+    assert fiber_top(1, 3) == 3
+    assert fiber_top(0, 1) == -inf  # no member has x = 1
+    assert fiber_top(0, -1) == -inf
+    assert fiber_top(0, 20) == inf  # past the conductor
+    assert fiber_top(1, 20) == inf
 
 
 def test_membership_matches_the_brute_oracle_on_random_instances():
