@@ -1,9 +1,15 @@
 """Command line interface.
 
-Every subcommand reads a JSON document describing a semigroup (from a path
-or "-" for stdin), runs one operation, and prints the result, JSON by
-default or aligned text with --format text.  Point lists in the output are
-lexicographically sorted.
+One route serves every subcommand.  _COMMANDS maps each subcommand to its
+help text, its extra arguments and an action; the parser is built from that
+table.  `run` loads the JSON document (from a path, or "-" for stdin),
+builds the semigroup it describes, calls the action on it and prints the
+payload the action returns, JSON by default or aligned text with --format
+text.  Point lists in the output are lexicographically sorted.  `check` and
+`construct` act on the document itself, so that `check` can report a
+document that fails to build; `plot` writes its text itself.  An error
+stops the route where it is raised and is printed to stderr as one
+"error: <message>" line, with the exit code that _EXIT_CODES gives its type.
 
 Document kinds:
 
@@ -21,8 +27,9 @@ maximum of the points.  "ideal" lists numerical generators of the ideal
 over the base semigroup ("duplication") or over the target ("amalgamation").
 
 Exit codes: 0 success, 1 failed validation or construction, 2 unreadable or
-malformed input (negative coordinates and dimension mismatches included),
-3 unsupported dimension, 4 operation needs a local semigroup.
+malformed input (negative coordinates, dimension mismatches and JSON nested
+too deeply included), 3 unsupported dimension, 4 operation needs a local
+semigroup.
 """
 
 from __future__ import annotations
@@ -73,6 +80,15 @@ class _InputError(Exception):
     """Unreadable or malformed input; maps to exit code 2."""
 
 
+def _json(text: str, where: str = ""):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputError("invalid JSON%s: %s" % (where, exc))
+    except RecursionError:
+        raise _InputError("invalid JSON%s: nested too deeply" % (where,))
+
+
 def _load_doc(path: str) -> dict:
     try:
         if path == "-":
@@ -82,20 +98,22 @@ def _load_doc(path: str) -> dict:
                 text = fh.read()
     except OSError as exc:
         raise _InputError("cannot read %s: %s" % (path, exc))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError("invalid JSON: %s" % (exc,))
+    doc = _json(text)
     if not isinstance(doc, dict):
         raise _InputError("the top level of the document must be an object")
     return doc
 
 
+def _ints(val) -> bool:
+    """Is val a nonempty list of integers?"""
+    return isinstance(val, list) and bool(val) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in val
+    )
+
+
 def _int_list(doc, key) -> list:
     val = doc.get(key)
-    if not isinstance(val, list) or not val or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in val
-    ):
+    if not _ints(val):
         raise _InputError('"%s" must be a nonempty list of integers' % (key,))
     return val
 
@@ -106,9 +124,7 @@ def _point_list(doc, key) -> list:
         raise _InputError('"%s" must be a list of integer points' % (key,))
     pts = []
     for item in val:
-        if not isinstance(item, list) or not item or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in item
-        ):
+        if not _ints(item):
             raise _InputError('"%s" must contain integer point lists' % (key,))
         pts.append(tuple(item))
     return pts
@@ -119,6 +135,13 @@ def _numerical(doc, key):
         return ns_from_generators(_int_list(doc, key))
     except ValueError as exc:
         raise _InputError('bad "%s": %s' % (key, exc))
+
+
+def _ideal(doc, ambient):
+    try:
+        return ideal_from_generators(ambient, _int_list(doc, "ideal"))
+    except ValueError as exc:
+        raise _InputError('bad "ideal": %s' % (exc,))
 
 
 def build_semigroup(doc: dict) -> GoodSemigroup:
@@ -142,22 +165,14 @@ def build_semigroup(doc: dict) -> GoodSemigroup:
         return good_semigroup(small)
     if kind == "duplication":
         s = _numerical(doc, "semigroup")
-        try:
-            e = ideal_from_generators(s, _int_list(doc, "ideal"))
-        except ValueError as exc:
-            raise _InputError('bad "ideal": %s' % (exc,))
-        return duplication(s, e)
+        return duplication(s, _ideal(doc, s))
     if kind == "amalgamation":
         s = _numerical(doc, "semigroup")
         t = _numerical(doc, "target")
         factor = doc.get("factor")
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
             raise _InputError('"factor" must be a positive integer')
-        try:
-            e = ideal_from_generators(t, _int_list(doc, "ideal"))
-        except ValueError as exc:
-            raise _InputError('bad "ideal": %s' % (exc,))
-        return amalgamation(s, t, e, factor)
+        return amalgamation(s, t, _ideal(doc, t), factor)
     if kind == "cartesian":
         return cartesian(_numerical(doc, "left"), _numerical(doc, "right"))
     if kind == "maximal":
@@ -196,146 +211,60 @@ def _emit(args, payload: dict):
             print("%s: %s" % (key, _fmt_value(payload[key])))
 
 
-def _small_points(small) -> list:
-    """The points of a small set as tuples, read off its rows."""
-    return list(_row_tuples(small.rows, small.top))
+def _small_payload(small) -> dict:
+    """The points of a small set, read off its rows, and its conductor."""
+    return {"small": list(_row_tuples(small.rows, small.top)), "conductor": list(small.top)}
 
 
-def cmd_check(args) -> int:
-    doc = _load_doc(args.input)
+def _lists(points) -> list:
+    return [list(p) for p in points]
+
+
+def _check(doc, args) -> dict:
     try:
         s = build_semigroup(doc)
     except NotGoodSemigroup as exc:
         payload = {
             "valid": False,
             "violations": [
-                {
-                    "axiom": v.axiom,
-                    "witness": [list(w) for w in v.witness],
-                    "axis": v.axis,
-                    "detail": v.detail,
-                }
+                {"axiom": v.axiom, "witness": _lists(v.witness), "axis": v.axis, "detail": v.detail}
                 for v in exc.report.violations
             ],
         }
         if exc.small is not None:
-            payload["small"] = _small_points(exc.small)
-            payload["conductor"] = list(exc.small.top)
-        _emit(args, payload)
-        return EXIT_INVALID
+            payload.update(_small_payload(exc.small))
+        return payload
     except ConstructionError as exc:
-        _emit(args, {"valid": False, "error": str(exc)})
-        return EXIT_INVALID
-    _emit(args, {"valid": True, "small": _small_points(s.small), "conductor": list(s.conductor)})
-    return EXIT_OK
+        return {"valid": False, "error": str(exc)}
+    return dict(_small_payload(s.small), valid=True)
 
 
-def cmd_small(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    _emit(args, {"small": _small_points(s.small), "conductor": list(s.conductor)})
-    return EXIT_OK
-
-
-def cmd_construct(args) -> int:
-    doc = _load_doc(args.input)
+def _construct(doc, args) -> dict:
     s = build_semigroup(doc)
-    _emit(
-        args,
-        {
-            "kind": doc.get("kind", "generators"),
-            "small": _small_points(s.small),
-            "conductor": list(s.conductor),
-            "local": is_local(s),
-        },
-    )
-    return EXIT_OK
+    return dict(_small_payload(s.small), kind=doc.get("kind", "generators"), local=is_local(s))
 
 
-def cmd_member(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
+def _member(s, args) -> dict:
     p = _parse_point(args.point, s.dim)
-    _emit(args, {"point": list(p), "member": gs_contains(s, p)})
-    return EXIT_OK
+    return {"point": list(p), "member": gs_contains(s, p)}
 
 
-def cmd_mingens(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    _emit(args, {"mingens": [list(p) for p in minimal_generating_system(s)]})
-    return EXIT_OK
-
-
-def cmd_is_mingens(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
+def _is_mingens(s, args) -> dict:
+    pts = _point_list({"gens": _json(args.gens, " in --gens")}, "gens")
+    payload = {"gens": _lists(pts)}
     try:
-        gens = json.loads(args.gens)
-    except json.JSONDecodeError as exc:
-        raise _InputError("invalid JSON in --gens: %s" % (exc,))
-    pts = _point_list({"gens": gens}, "gens")
-    try:
-        minimal = is_minimal_system(pts, s)
+        payload.update(generating=True, is_minimal=is_minimal_system(pts, s))
     except NotAGeneratingSystem as exc:
-        _emit(
-            args,
-            {
-                "gens": [list(p) for p in pts],
-                "generating": False,
-                "is_minimal": False,
-                "reason": str(exc),
-            },
-        )
-        return EXIT_OK
-    _emit(args, {"gens": [list(p) for p in pts], "generating": True, "is_minimal": minimal})
-    return EXIT_OK
+        payload.update(generating=False, is_minimal=False, reason=str(exc))
+    return payload
 
 
-def cmd_maximal(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    _emit(args, {"maximal": [list(p) for p in maximal_elements(s)]})
-    return EXIT_OK
+def _canonical(s, args) -> dict:
+    payload = _small_payload(canonical_ideal(s).small)
+    return dict(payload, generators=_lists(canonical_generators(s)))
 
 
-def cmd_canonical(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    k = canonical_ideal(s)
-    _emit(
-        args,
-        {
-            "small": _small_points(k.small),
-            "conductor": list(k.small.top),
-            "generators": [list(p) for p in canonical_generators(s)],
-        },
-    )
-    return EXIT_OK
-
-
-def cmd_symmetric(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    _emit(args, {"symmetric": is_symmetric(s)})
-    return EXIT_OK
-
-
-def cmd_arf(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    _emit(args, {"arf": is_arf(s)})
-    return EXIT_OK
-
-
-def cmd_arf_closure(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
-    t = arf_closure(s)
-    _emit(
-        args,
-        {
-            "small": _small_points(t.small),
-            "conductor": list(t.conductor),
-            "local": is_local(s),
-        },
-    )
-    return EXIT_OK
-
-
-def cmd_saturate(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
+def _saturate(s, args) -> dict:
     if args.box is None:
         box = Point(c + 3 for c in s.conductor)
     else:
@@ -344,33 +273,64 @@ def cmd_saturate(args) -> int:
     if any(x < 0 for x in box):
         raise _InputError("box %s has a negative coordinate" % (tuple(box),))
     sat = arf_saturation(s, box)
-    inf = [list(p) for p in _row_tuples(_meet_closure(_rows(sat, box), box), box)]
-    closure_in_box = [list(q) for q in _row_tuples(_box_rows(closure.small, box), box)]
-    _emit(
-        args,
-        {
-            "box": list(box),
-            "saturation": [list(p) for p in sat],
-            "infima_closure": inf,
-            "closure_in_box": closure_in_box,
-            "agrees": inf == closure_in_box,
-        },
-    )
-    return EXIT_OK
+    inf = _lists(_row_tuples(_meet_closure(_rows(sat, box), box), box))
+    closure_in_box = _lists(_row_tuples(_box_rows(closure.small, box), box))
+    return {
+        "box": list(box),
+        "saturation": _lists(sat),
+        "infima_closure": inf,
+        "closure_in_box": closure_in_box,
+        "agrees": inf == closure_in_box,
+    }
 
 
-def cmd_plot(args) -> int:
-    s = build_semigroup(_load_doc(args.input))
+def _plot(s, args) -> None:
     text = render_plot(s, args.style)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _InputError("cannot write %s: %s" % (args.output, exc))
-    else:
+    if not args.output:
         sys.stdout.write(text)
-    return EXIT_OK
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError("cannot write %s: %s" % (args.output, exc))
+
+
+# name -> (help, whether the action takes the document instead of its semigroup,
+# action, extra arguments as (flag, keywords)...); an action returns the payload
+# to print, or None when it wrote its output itself
+_COMMANDS = {
+    "check": ("validate the document", True, _check),
+    "small": ("list the small elements", False, lambda s, args: _small_payload(s.small)),
+    "construct": ("build from a construction document", True, _construct),
+    "member": ("test one point", False, _member,
+               ("--point", dict(required=True, help="comma separated coordinates, e.g. 4,2"))),
+    "mingens": ("minimal good generating system", False,
+                lambda s, args: {"mingens": _lists(minimal_generating_system(s))}),
+    "is-mingens": ("test a candidate generating system", False, _is_mingens,
+                   ("--gens", dict(required=True, help="JSON list of points, e.g. [[4,2],[6,3]]"))),
+    "maximal": ("maximal elements", False,
+                lambda s, args: {"maximal": _lists(maximal_elements(s))}),
+    "canonical": ("canonical ideal", False, _canonical),
+    "symmetric": ("symmetry test", False, lambda s, args: {"symmetric": is_symmetric(s)}),
+    "arf": ("Arf property test", False, lambda s, args: {"arf": is_arf(s)}),
+    "arf-closure": ("smallest Arf semigroup above", False,
+                    lambda s, args: dict(_small_payload(arf_closure(s).small), local=is_local(s))),
+    "saturate": ("in box saturation experiment", False, _saturate,
+                 ("--box", dict(help="comma separated box corner; default conductor + 3"))),
+    "plot": ("draw the semigroup", False, _plot,
+             ("--style", dict(choices=("svg", "ascii"), default="svg")),
+             ("--output", dict(help="write to a file instead of stdout"))),
+}
+
+# the first entry whose type an error has gives its exit code
+_EXIT_CODES = (
+    (_InputError, EXIT_PARSE),
+    (UnsupportedDimension, EXIT_DIMENSION),
+    (NonLocalError, EXIT_NONLOCAL),
+    (ValueError, EXIT_PARSE),  # argument-domain checks, DimensionMismatch among them
+    (GoodSgpError, EXIT_INVALID),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,57 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="goodsgp", description="good semigroups of N^2: build, check, compute"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common], help="validate the document")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("small", parents=[common], help="list the small elements")
-    p.set_defaults(func=cmd_small)
-
-    p = sub.add_parser(
-        "construct", parents=[common], help="build from a construction document"
-    )
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("member", parents=[common], help="test one point")
-    p.add_argument("--point", required=True, help="comma separated coordinates, e.g. 4,2")
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("mingens", parents=[common], help="minimal good generating system")
-    p.set_defaults(func=cmd_mingens)
-
-    p = sub.add_parser(
-        "is-mingens", parents=[common], help="test a candidate generating system"
-    )
-    p.add_argument("--gens", required=True, help='JSON list of points, e.g. [[4,2],[6,3]]')
-    p.set_defaults(func=cmd_is_mingens)
-
-    p = sub.add_parser("maximal", parents=[common], help="maximal elements")
-    p.set_defaults(func=cmd_maximal)
-
-    p = sub.add_parser("canonical", parents=[common], help="canonical ideal")
-    p.set_defaults(func=cmd_canonical)
-
-    p = sub.add_parser("symmetric", parents=[common], help="symmetry test")
-    p.set_defaults(func=cmd_symmetric)
-
-    p = sub.add_parser("arf", parents=[common], help="Arf property test")
-    p.set_defaults(func=cmd_arf)
-
-    p = sub.add_parser("arf-closure", parents=[common], help="smallest Arf semigroup above")
-    p.set_defaults(func=cmd_arf_closure)
-
-    p = sub.add_parser(
-        "saturate", parents=[common], help="in box saturation experiment"
-    )
-    p.add_argument("--box", help="comma separated box corner; default conductor + 3")
-    p.set_defaults(func=cmd_saturate)
-
-    p = sub.add_parser("plot", parents=[common], help="draw the semigroup")
-    p.add_argument("--style", choices=("svg", "ascii"), default="svg")
-    p.add_argument("--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_plot)
-
+    for name, (help_text, _on_document, _action, *arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -442,24 +355,17 @@ def run(argv=None) -> int:
     """Parse arguments, run one subcommand, and map errors to exit codes;
     errors go to stderr as one "error: <message>" line."""
     args = _build_parser().parse_args(argv)
+    _help, on_document, action, *_arguments = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except _InputError as exc:
+        doc = _load_doc(args.input)
+        payload = action(doc if on_document else build_semigroup(doc), args)
+    except tuple(error for error, _code in _EXIT_CODES) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedDimension as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_DIMENSION
-    except NonLocalError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_NONLOCAL
-    except ValueError as exc:
-        # argument-domain checks, DimensionMismatch among them
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_PARSE
-    except GoodSgpError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_INVALID
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
+    if payload is None:
+        return EXIT_OK
+    _emit(args, payload)
+    return EXIT_INVALID if payload.get("valid") is False else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .errors import NonLocalError, NotAGeneratingSystem, UnsupportedDimension
+from .errors import NonLocalError, NotAGeneratingSystem
 from .lattice import Point, meet
 from .semigroup import GoodSemigroup, _require_dim2, _row_tuples, closure_small, is_local
 
@@ -128,8 +128,7 @@ def minimal_ideal_generating_system(e) -> tuple:
     s = e.ambient
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local ambient")
-    if s.dim != 2:
-        raise UnsupportedDimension("ideal generating systems are implemented for n = 2 only")
+    _require_dim2(s, "minimal_ideal_generating_system")
     top = e.small.top
     pts = list(_row_tuples(e.small.rows, top))
     return tuple(Point(p) for p, out in zip(pts, _removable(pts, top, s)) if not out)

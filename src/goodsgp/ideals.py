@@ -52,7 +52,6 @@ from .errors import (
     DimensionMismatch,
     NonLocalError,
     NotGoodIdeal,
-    UnsupportedDimension,
 )
 from .lattice import Point, join, meet, ones
 from .semigroup import (
@@ -231,8 +230,7 @@ def _clamped_sum_ideal(s: GoodSemigroup, rows, top, other: SmallSet, corner):
 
 
 def _check_ideal_generators(s: GoodSemigroup, hgens) -> list:
-    if s.dim != 2:
-        raise UnsupportedDimension("ideal generation is implemented for n = 2 only")
+    _require_dim2(s, "gi_from_generators")
     gens = [Point(h) for h in hgens]
     if not gens:
         raise ValueError("at least one generator is required")
@@ -360,7 +358,6 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     if e.ambient != f.ambient:
         raise ValueError("ideal sum requires a common ambient semigroup")
     s = e.ambient
-    if s.dim != 2:
-        raise UnsupportedDimension("ideal sums are implemented for n = 2 only")
+    _require_dim2(s, "sum_ideals")
     corner = e.small.top + f.small.top
     return _clamped_sum_ideal(s, e.small.rows, e.small.top, f.small, corner)

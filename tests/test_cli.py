@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -350,6 +352,56 @@ def test_input_errors(capsys, tmp_path, monkeypatch):
 
     code, _, err = _run(capsys, ["check", str(tmp_path / "missing.json")])
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, err",
+    [
+        (["check", "-"], "[" * 200000, "error: invalid JSON: nested too deeply\n"),
+        (
+            ["is-mingens", "-", "--gens", "[" * 100000],
+            json.dumps({"kind": "duplication", "semigroup": [2, 3], "ideal": [6]}),
+            "error: invalid JSON in --gens: nested too deeply\n",
+        ),
+    ],
+    ids=["document", "gens"],
+)
+def test_deeply_nested_json_exits_two(capsys, monkeypatch, argv, stdin, err):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert _run(capsys, argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "-"], ["nope", "-"], ["small", "-", "--format", "xml"]],
+    ids=["missing-point", "unknown-command", "unknown-format"],
+)
+def test_the_parser_rejects_bad_arguments_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.run(argv)
+    assert stop.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: goodsgp")
+
+
+def test_subcommands_in_a_row_print_what_they_print_alone(capsys, dup_doc):
+    member = ["member", dup_doc, "--point", "6,7", "--format", "text"]
+    mingens = ["mingens", dup_doc]
+    alone = {
+        "member": (0, "member: yes\npoint: (6, 7)\n", ""),
+        "mingens": (0, '{"mingens": [[2, 2], [3, 3], [6, 8], [8, 6]]}\n', ""),
+    }
+    for argv in (member, mingens, member, mingens):
+        assert _run(capsys, argv) == alone[argv[0]]
+
+
+def test_the_readme_lists_every_subcommand():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text(encoding="utf-8").split("Subcommands:", 1)[1]
+    rows = [line for line in table.split("\n\n", 2)[1].splitlines() if line.startswith("| `")]
+    listed = [row[3:].split("`")[0].split()[0] for row in rows]
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(sub.choices)
 
 
 @pytest.mark.parametrize(

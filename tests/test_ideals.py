@@ -383,6 +383,21 @@ def test_canonical_requires_two_local_dimensions(product_nonlocal):
         canonical_ideal(cube)
 
 
+def test_ideal_operations_refuse_three_dimensions_by_name():
+    local3 = good_semigroup(
+        small_set([(0, 0, 0), (1, 1, 3), (1, 2, 4), (2, 1, 3), (2, 2, 6)], (2, 2, 6))
+    )
+    e = tail_ideal(local3, (0, 0, 0))
+    calls = [
+        ("gi_from_generators", lambda: gi_from_generators(local3, [(1, 1, 3)])),
+        ("sum_ideals", lambda: sum_ideals(e, e)),
+        ("minimal_ideal_generating_system", lambda: minimal_ideal_generating_system(e)),
+    ]
+    for name, call in calls:
+        with pytest.raises(UnsupportedDimension, match="^%s is implemented" % (name,)):
+            call()
+
+
 def test_canonical_matches_the_brute_scan_on_random_instances():
     for s in corpus(515, 40, cap=12):
         k = canonical_ideal(s)
