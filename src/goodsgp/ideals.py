@@ -23,15 +23,16 @@ meet closure of the clamped sums min(h + q, corner) over h in H and the
 members q of S in the box (members beyond the box clamp onto box members,
 since the corner is at least C(S)).  The sum of two ideals E + F is the
 same construction with the members of E as H and F in place of S.  Both
-run through one bit-row routine (_clamped_sum_ideal): the box members of
-the second operand are its box rows (semigroup._box_rows), and each point
-of the first, a generator or a small element of E, translates all of them
-at once, one shift per row.  E's members past its small elements lie on
-the rays of its border points, and a ray costs one operation per row too:
-along axis 1 it fills a shifted row from its lowest bit up, and along
-axis 0 it is a running OR across the columns.  The routine then lowers
-the corner to the minimal conductor of the data and validates the ideal
-axioms; failures raise NotGoodIdeal with a witness report.
+run through one bit-row routine (_clamped_sum_ideal), in every dimension:
+the box members of the second operand are its box rows
+(semigroup._box_rows), and each point of the first, a generator or a small
+element of E, translates all of them at once, one shift per row.  E's
+members past its small elements lie on the rays of its border points, and
+a ray costs one operation per row too: along the last axis it fills a
+shifted row from its lowest bit up, and along each other axis it is a
+running OR across the rows.  The routine then lowers the corner to the
+minimal conductor of the data and validates the ideal axioms; failures
+raise NotGoodIdeal with a witness report.
 
 Tail ideals read their data off the ambient's rows too (_box_rows, with
 the base point as the box's low corner), in every dimension.
@@ -45,8 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
-from operator import or_
+from operator import mul, or_
 
 from .errors import (
     DimensionMismatch,
@@ -67,9 +67,12 @@ from .semigroup import (
     _low_bit,
     _meet_closure,
     _meet_violations,
+    _padding,
+    _prefixes,
     _require_dim2,
     _row_tuples,
     _rows,
+    _strides,
     _tail_sum_closed,
     is_local,
     maximal_elements,
@@ -179,67 +182,56 @@ def gi_contains(e: GoodRelativeIdeal, p) -> bool:
 
 def _clamped_sum_ideal(s: GoodSemigroup, rows, top, other: SmallSet, corner):
     """The ideal whose data is the meet closure of min(p + q, corner) over
-    the points p of the bit rows `rows` of [0, top] and the members q of
+    the members p of the bit rows `rows` of [0, top] and the members q of
     the set `other` reconstructs, with its corner lowered to the minimal
-    conductor and validated.  n = 2 only.  A point p with p_i = top_i
-    stands for its ray p + N e_i as well, as a small element does.
+    conductor and validated.  As in a small set, a point p with p_i = top_i
+    stands for its ray p + N e_i as well.
 
-    The members of other in the box are its box rows (_box_rows).  Each
-    point (x, y) ORs every box column x' of other, shifted up by y with the
-    bits from corner_1 on folded into bit corner_1, into column
-    min(x + x', corner_0); the columns from corner_0 - x on all land in
-    column corner_0 and are ORed first.  Two rules take the rays, one
-    operation per column each:
+    The box rows of other (_box_rows) are ORed, per row of `rows` at prefix
+    p, into groups by target row, the row at min(p + q', corner')
+    (_padding).  Each bit y of the row ORs every group, shifted up by y
+    with the bits from corner_n on folded into bit corner_n, into its
+    target row.  The rays take one operation per group each:
 
-    * ray along axis 1 (y = top_1): the shifted column's bits from its
-      lowest bit up to corner_1, every one of them;
-    * ray along axis 0 (x = top_0): the shifted columns go to an onward
-      array instead, whose column x is ORed into every column from x on by
-      one running OR at the end.
+    * along the last axis (y = top_n): the shifted group's bits from its
+      lowest bit up to corner_n;
+    * along the set A of prefix axes on which p sits at the top: the
+      translates go to an array of their own for A, which takes a running
+      OR along each axis of A at the end.
 
-    _meet_closure then closes the resulting rows.
+    _meet_closure then closes the union of the arrays.
     """
-    c0, c1 = corner
-    t0, t1 = top
-    below, last = (1 << c1) - 1, 1 << c1
-    box = _box_rows(other, corner)
-    cols = [(x, g) for x, g in enumerate(box) if g]
-    rest = list(accumulate(reversed(box), or_))[::-1]  # OR of the columns from x on
-    out, onward = [0] * (c0 + 1), [0] * (c0 + 1)
-    for x, r in enumerate(rows):
+    below, last = (1 << corner[-1]) - 1, 1 << corner[-1]
+    strides, offsets, clamp = _padding(corner)
+    box = [(o, g) for o, g in zip(offsets, _box_rows(other, corner)) if g]
+    outs = {}  # the translates, per set of prefix axes with rays
+    for p, r in zip(_prefixes(top), rows):
         if not r:
             continue
-        into = onward if x == t0 else out  # the ray along axis 0
-        shifts = [(x + x2, g) for x2, g in cols if x + x2 < c0] + [(c0, rest[c0 - x])]
+        into, groups = clamp[sum(map(mul, p, strides)) :], {}
+        for o, g in box:
+            groups[into[o]] = groups.get(into[o], 0) | g
+        rays = tuple(j for j, x in enumerate(p) if x == top[j])
+        out = outs.setdefault(rays, [0] * len(offsets))
         while r:
             y = _low_bit(r)
             r &= r - 1
-            if y == t1:  # the ray along axis 1: every bit from the lowest on
-                for i, g in shifts:
-                    into[i] |= -(g & -g) << y & below | last
+            if y == top[-1]:  # the ray along the last axis: every bit from the lowest on
+                for i, g in groups.items():
+                    out[i] |= -(g & -g) << y & below | last
                 continue
-            for i, g in shifts:
+            for i, g in groups.items():
                 v = g << y
-                into[i] |= v & below | last if v > below else v
-    run = 0
-    for x, r in enumerate(onward):
-        run |= r
-        out[x] |= run
-    data = SmallSet._of_rows(_meet_closure(out, corner), corner)
-    return good_ideal(s, normalize_conductor(data))
-
-
-def _check_ideal_generators(s: GoodSemigroup, hgens) -> list:
-    _require_dim2(s, "gi_from_generators")
-    gens = [Point(h) for h in hgens]
-    if not gens:
-        raise ValueError("at least one generator is required")
-    for h in gens:
-        if h.dim != 2:
-            raise DimensionMismatch("generator %r vs ambient dimension 2" % (h,))
-        if any(x < 0 for x in h):
-            raise ValueError("generator %r has a negative coordinate" % (h,))
-    return gens
+                out[i] |= v & below | last if v > below else v
+    steps = _strides([t + 1 for t in corner[:-1]])
+    for rays, out in outs.items():
+        for j in rays:  # the rays along prefix axis j: a running OR along it
+            for i, q in enumerate(_prefixes(corner)):
+                if q[j]:
+                    out[i] |= out[i - steps[j]]
+    data = [reduce(or_, col) for col in zip(*outs.values())]
+    small = SmallSet._of_rows(_meet_closure(data, corner), corner)
+    return good_ideal(s, normalize_conductor(small))
 
 
 def gi_from_generators(s: GoodSemigroup, hgens) -> GoodRelativeIdeal:
@@ -249,16 +241,23 @@ def gi_from_generators(s: GoodSemigroup, hgens) -> GoodRelativeIdeal:
     smallest set containing every generator plus an ambient member and
     closed under componentwise minima.  Each generator, clamped to the
     corner, translates the box rows of S once, by the row routine
-    sum_ideals also uses (_clamped_sum_ideal); generators take no rays.
-    The corner is then lowered while the data between it and the old
-    corner stays complete, and the result validated.  The corner is the
-    natural conductor bound of the closure, and for a principal generator,
-    for generators containing zero, and for the canonical families it is
-    the exact conductor.  The clamp can fail the ideal axioms (most often
-    the shared coordinate witness, when a fiber of the closure stops below
-    the corner), in which case NotGoodIdeal carries the report.
+    sum_ideals also uses (_clamped_sum_ideal), in every dimension.  The
+    corner is then lowered while the data between it and the old corner
+    stays complete, and the result validated.  The corner is the natural
+    conductor bound of the closure, and for a principal generator, for
+    generators containing zero, and for the canonical families it is the
+    exact conductor.  The clamp can fail the ideal axioms (most often the
+    shared coordinate witness, when a fiber of the closure stops below the
+    corner), in which case NotGoodIdeal carries the report.
     """
-    gens = _check_ideal_generators(s, hgens)
+    gens = [Point(h) for h in hgens]
+    if not gens:
+        raise ValueError("at least one generator is required")
+    for h in gens:
+        if h.dim != s.dim:
+            raise DimensionMismatch("generator %r vs ambient dimension %d" % (h, s.dim))
+        if any(x < 0 for x in h):
+            raise ValueError("generator %r has a negative coordinate" % (h,))
     corner = reduce(meet, gens) + s.small.top
     # with the corner as top, a generator clamped onto the corner's line
     # takes a ray, but every translate along it clamps back onto the line
@@ -351,13 +350,11 @@ def sum_ideals(e: GoodRelativeIdeal, f: GoodRelativeIdeal) -> GoodRelativeIdeal:
     C(E) + C(F) the sum set is exactly the clamped sums of in box members,
     and a meet realizes each coordinate through one pair, so the data is
     the row closure _clamped_sum_ideal, the one gi_from_generators also
-    uses: each small element of E translates F's box rows once, and E's
-    border points add their rays by the two ray rules, one operation per
-    row each.
+    uses, in every dimension: each small element of E translates F's box
+    rows once, and E's border points add their rays, one operation per row
+    each.
     """
     if e.ambient != f.ambient:
         raise ValueError("ideal sum requires a common ambient semigroup")
-    s = e.ambient
-    _require_dim2(s, "sum_ideals")
     corner = e.small.top + f.small.top
-    return _clamped_sum_ideal(s, e.small.rows, e.small.top, f.small, corner)
+    return _clamped_sum_ideal(e.ambient, e.small.rows, e.small.top, f.small, corner)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from operator import lt
+from itertools import accumulate
+from operator import lt, or_
 
 from goodsgp import (
     ConstructionError,
@@ -38,6 +39,8 @@ from goodsgp import (
     small_set,
 )
 from goodsgp import ideals, semigroup
+from goodsgp.ideals import good_ideal
+from goodsgp.semigroup import _box_rows, _low_bit, _meet_closure
 
 # The benchmark's conductor ladder: the duplications "S by e + S" of <3,5> by
 # 5 (C=13), <5,7> by 7 (C=31), <9,11,13> by 11 (C=55) and <16,17,18,19> by
@@ -361,6 +364,49 @@ def box_members(small, bound, low=None):
     for q in itertools.product(*(range(a, b + 1) for a, b in zip(low, bound))):
         if small.contains(q):
             yield q
+
+
+def column_sum_ideal(s, rows, top, other, corner):
+    """The n = 2 column loop that ideals._clamped_sum_ideal replaced, kept
+    verbatim as its reference in N^2.
+
+    Each point (x, y) of the bit rows of [0, top] ORs every box column x'
+    of other, shifted up by y with the bits from corner_1 on folded into
+    bit corner_1, into column min(x + x', corner_0); the columns from
+    corner_0 - x on all land in column corner_0 and are ORed first.  Two
+    rules take the rays: along axis 1 (y = top_1) the shifted column's bits
+    from its lowest bit up to corner_1, every one of them; along axis 0
+    (x = top_0) the shifted columns go to an onward array, whose column x
+    is ORed into every column from x on by one running OR at the end.
+    """
+    c0, c1 = corner
+    t0, t1 = top
+    below, last = (1 << c1) - 1, 1 << c1
+    box = _box_rows(other, corner)
+    cols = [(x, g) for x, g in enumerate(box) if g]
+    rest = list(accumulate(reversed(box), or_))[::-1]  # OR of the columns from x on
+    out, onward = [0] * (c0 + 1), [0] * (c0 + 1)
+    for x, r in enumerate(rows):
+        if not r:
+            continue
+        into = onward if x == t0 else out  # the ray along axis 0
+        shifts = [(x + x2, g) for x2, g in cols if x + x2 < c0] + [(c0, rest[c0 - x])]
+        while r:
+            y = _low_bit(r)
+            r &= r - 1
+            if y == t1:  # the ray along axis 1: every bit from the lowest on
+                for i, g in shifts:
+                    into[i] |= -(g & -g) << y & below | last
+                continue
+            for i, g in shifts:
+                v = g << y
+                into[i] |= v & below | last if v > below else v
+    run = 0
+    for x, r in enumerate(onward):
+        run |= r
+        out[x] |= run
+    data = SmallSet._of_rows(_meet_closure(out, corner), corner)
+    return good_ideal(s, normalize_conductor(data))
 
 
 def meet_pair_scan(small):

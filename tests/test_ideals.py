@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 from goodsgp import (
     NonLocalError,
     NotGoodIdeal,
+    NotGoodSemigroup,
     Point,
     SmallSet,
     UnsupportedDimension,
     Violation,
     brute_canonical,
-    brute_member,
     canonical_generators,
     canonical_ideal,
     gi_contains,
@@ -43,9 +43,12 @@ from goodsgp import ideals, semigroup
 import _data as data
 from _corpus import (
     KERNEL_SEEDS,
+    LADDER,
     absorption_pair_scan,
     arf_triple_loop,
     box_members,
+    closures3,
+    column_sum_ideal,
     corpus,
     kernel_cases,
     ladder_duplication,
@@ -179,25 +182,46 @@ def test_sum_of_principal_ideals_is_principal(dup_example):
     assert total.small.top == direct.small.top
 
 
+def _brute_clamp(s, corner, hs, qs):
+    """The meet closure of min(h + q, corner) over the points h of hs and q
+    of qs, normalized and validated, as (data, report)."""
+    sums = {tuple(min(a + b, c) for a, b, c in zip(h, q, corner)) for h in hs for q in qs}
+    pts = meet_fixpoint(sums)
+    small = normalize_conductor(SmallSet(tuple(sorted(map(Point, pts))), Point(corner)))
+    return small, validate_ideal_small_set(s, small)
+
+
 def _brute_sum(e, f):
     """The sum data by its definition: clamped sums of every pair of box
     members, closed under meets, then normalized and validated."""
-    corner = tuple(a + b for a, b in zip(e.small.top, f.small.top))
-    box = list(itertools.product(range(corner[0] + 1), range(corner[1] + 1)))
-    emem = [p for p in box if brute_member(e.small.points, e.small.top, p)]
-    fmem = [q for q in box if brute_member(f.small.points, f.small.top, q)]
-    sums = {tuple(min(a + b, c) for a, b, c in zip(p, q, corner)) for p in emem for q in fmem}
-    pts = meet_fixpoint(sums)
-    small = normalize_conductor(SmallSet(tuple(sorted(map(Point, pts))), Point(corner)))
-    return small, validate_ideal_small_set(e.ambient, small)
+    corner = e.small.top + f.small.top
+    fmem = list(box_members(f.small, corner))
+    return _brute_clamp(e.ambient, corner, box_members(e.small, corner), fmem)
 
 
-def _sum_outcome(e, f):
+def _brute_generation(s, gens):
+    """The generated data by its definition: clamped sums of the generators
+    with every box member of s at the corner min(H) + C(S), closed under
+    meets, then normalized and validated."""
+    corner = Point(min(xs) for xs in zip(*gens)) + s.small.top
+    return _brute_clamp(s, corner, gens, list(box_members(s.small, corner)))
+
+
+def _outcome(call):
     try:
-        total = sum_ideals(e, f)
+        e = call()
     except NotGoodIdeal as err:
         return err.small, err.report
-    return total.small, validate_ideal_small_set(total.ambient, total.small)
+    return e.small, validate_ideal_small_set(e.ambient, e.small)
+
+
+def _valid_closures3(count):
+    """The valid good semigroups among the seeded N^3 closures."""
+    for small in closures3(3, count, cap=5):
+        try:
+            yield good_semigroup(small)
+        except NotGoodSemigroup:
+            pass
 
 
 def test_sum_ideals_matches_the_brute_sum_on_random_instances():
@@ -210,12 +234,63 @@ def test_sum_ideals_matches_the_brute_sum_on_random_instances():
         tails = [tail_ideal(s, rng.choice(pts)), tail_ideal(s, rng.choice(off))]
         for e, f in [principal, tails, (tails[0], tails[0]), (principal[0], tails[1]),
                      (tails[1], principal[1])]:
-            got = _sum_outcome(e, f)
+            got = _outcome(lambda: sum_ideals(e, f))
             assert got == _brute_sum(e, f)
-            outcomes.add(got[1].ok)
+            outcomes.add((2, got[1].ok))
+    for s in _AMBIENTS3 + tuple(itertools.islice(_valid_closures3(300), 10)):
+        tails = [tail_ideal(s, a) for a in s.small.points]
+        # every doubled tail of the small closures (one of the eighth fails),
+        # two of each product
+        doubled = tails if len(tails) <= 5 else rng.sample(tails, 2)
+        for e, f in [rng.sample(tails, 2)] + [(t, t) for t in doubled]:
+            got = _outcome(lambda: sum_ideals(e, f))
+            assert got == _brute_sum(e, f), (e.small, f.small)
+            outcomes.add((3, got[1].ok))
     # tail sums can fail: normalize_conductor on data that is not good can
     # leave a conductor that is not minimal, and sum_ideals reports it
-    assert outcomes == {True, False}
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_gi_from_generators_matches_the_brute_clamp_in_three_dimensions():
+    rng = random.Random(6321)
+    verdicts = set()
+    for s in _AMBIENTS3 + tuple(itertools.islice(_valid_closures3(300), 30)):
+        top = s.small.top
+        for _ in range(3):
+            gens = [tuple(rng.randint(0, t) for t in top) for _ in range(rng.randint(1, 3))]
+            got = _outcome(lambda: gi_from_generators(s, gens))
+            assert got == _brute_generation(s, gens), (s.small, gens)
+            verdicts.add(got[1].ok)
+    assert verdicts == {True, False}
+
+
+def _kernel_calls(s, small):
+    """Arguments of the sum kernel in its three uses on the data small of
+    the ambient s: the sum of the data with itself, the data absorbing s,
+    and generation by the data's middle point and by its first and last."""
+    top = small.top
+    yield small.rows, top, small, top + top
+    yield small.rows, top, s.small, top + s.small.top
+    pts = small.points
+    for gens in ([pts[len(pts) // 2]], [pts[0], pts[-1]]):
+        corner = Point(min(xs) for xs in zip(*gens)) + s.small.top
+        yield semigroup._rows([tuple(map(min, h, corner)) for h in gens], corner), corner, \
+            s.small, corner
+
+
+def test_sum_kernel_matches_the_column_loop_in_two_dimensions():
+    verdicts = set()
+    cases = [(s, small) for s, small in kernel_cases() if small.dim == 2]
+    for rung in LADDER:
+        s = ladder_duplication(rung)
+        # the duplication and its tail at the multiplicity
+        cases += [(s, s.small), (s, tail_ideal(s, s.small.points[1]).small)]
+    for s, small in cases:
+        for args in _kernel_calls(s, small):
+            got = _outcome(lambda: ideals._clamped_sum_ideal(s, *args))
+            assert got == _outcome(lambda: column_sum_ideal(s, *args)), (small, args[1:])
+            verdicts.add(got[1].ok)
+    assert verdicts == {True, False}
 
 
 def test_doubled_tail_with_a_loose_conductor_is_reported():
@@ -388,14 +463,13 @@ def test_ideal_operations_refuse_three_dimensions_by_name():
         small_set([(0, 0, 0), (1, 1, 3), (1, 2, 4), (2, 1, 3), (2, 2, 6)], (2, 2, 6))
     )
     e = tail_ideal(local3, (0, 0, 0))
-    calls = [
-        ("gi_from_generators", lambda: gi_from_generators(local3, [(1, 1, 3)])),
-        ("sum_ideals", lambda: sum_ideals(e, e)),
-        ("minimal_ideal_generating_system", lambda: minimal_ideal_generating_system(e)),
-    ]
-    for name, call in calls:
-        with pytest.raises(UnsupportedDimension, match="^%s is implemented" % (name,)):
-            call()
+    with pytest.raises(UnsupportedDimension, match="^minimal_ideal_generating_system is"):
+        minimal_ideal_generating_system(e)
+    # sums and generation work in every dimension
+    assert sum_ideals(e, e).small == local3.small
+    assert sum_ideals(e, e).conductor == (2, 2, 6)
+    g = gi_from_generators(local3, [(1, 1, 3)])
+    assert g.conductor == (3, 3, 9) and len(g.small.points) == 5
 
 
 def test_canonical_matches_the_brute_scan_on_random_instances():
