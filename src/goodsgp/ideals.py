@@ -39,13 +39,17 @@ the base point as the box's low corner), in every dimension.
 
 The canonical ideal is not generated but read off its definition: the
 points a of [0, C(S)] such that no member of S shares a coordinate with
-C(S) - (1, 1) - a and strictly dominates it on the other axis.
+C(S) - (1, 1) - a and strictly dominates it on the other axis.  It and its
+generators are read off the fiber tops of S (SmallSet._fiber_tops), one
+pass per axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
+from math import inf
 from operator import mul, or_
 
 from .errors import (
@@ -77,7 +81,6 @@ from .semigroup import (
     is_local,
     maximal_elements,
     normalize_conductor,
-    projection,
 )
 
 __all__ = [
@@ -112,7 +115,12 @@ class GoodRelativeIdeal:
 
     @cached_property
     def min_element(self) -> Point:
-        return Point(map(min, zip(*_row_tuples(self.small.rows, self.small.top))))
+        """The componentwise minimum of the small data, off its bit rows:
+        per prefix axis the least coordinate of a nonempty row, and on the
+        last axis the lowest bit of the OR of the rows."""
+        rows = self.small.rows
+        heads = [p for p, r in zip(_prefixes(self.small.top), rows) if r]
+        return Point((*map(min, zip(*heads)), _low_bit(reduce(or_, rows))))
 
     def __contains__(self, p):
         return gi_contains(self, p)
@@ -292,24 +300,18 @@ def canonical_generators(s: GoodSemigroup) -> tuple:
 
     One family per axis built from the gaps of the coordinate projections,
     placed on the opposite border, plus the reflections of the maximal
-    elements through conductor - 1.
+    elements through conductor - 1.  The gaps on axis i are the u in
+    [1, top_i] with no point on axis i: fiber top -inf.
     """
     _require_dim2(s, "canonical_generators")
     if not is_local(s):
         raise NonLocalError("the canonical ideal requires a local semigroup")
     top = s.small.top
     gamma = top - ones(2)
-    fam = set()
-    s1 = projection(s, 0)
-    s2 = projection(s, 1)
-    for x in range(1, s1.conductor):
-        if x not in s1:
-            fam.add(Point((gamma[0] - x, top[1])))
-    for y in range(1, s2.conductor):
-        if y not in s2:
-            fam.add(Point((top[0], gamma[1] - y)))
-    for alpha in maximal_elements(s):
-        fam.add(gamma - alpha)
+    up, across = s.small._fiber_tops
+    fam = {gamma - alpha for alpha in maximal_elements(s)}
+    fam.update(Point((gamma[0] - x, top[1])) for x in range(1, top[0]) if up[x] == -inf)
+    fam.update(Point((top[0], gamma[1] - y)) for y in range(1, top[1]) if across[y] == -inf)
     return tuple(sorted(fam))
 
 
@@ -318,22 +320,30 @@ def canonical_ideal(s: GoodSemigroup) -> GoodRelativeIdeal:
     x = C - (1, 1) - a admits no member sharing a coordinate with x and
     strictly dominating it on the other axis.
 
-    Its conductor is the ambient one (D'Anna 1997), so the definitional
-    scan over [0, C] is the whole small data.
+    Its conductor is the ambient one (D'Anna 1997), so the definition over
+    [0, C] is the whole small data, read per row x off the fiber tops F0,
+    F1 (SmallSet._fiber_tops), with g = C - (1, 1) and F(-1) = -inf.  Row x
+    holds the y with F0(g0 - x) <= g1 - y, a prefix of the row (all of it
+    for -inf, none for inf), and F1(g1 - y) <= g0 - x: with the y bucketed
+    by F1(g1 - y), that is the OR of the buckets up to g0 - x, one running
+    OR over the buckets for all rows.  The y with F1(g1 - y) = -inf are in
+    every row, and those with inf in none.
     """
     _require_dim2(s, "canonical_ideal")
     if not is_local(s):
         raise NonLocalError("the canonical ideal requires a local semigroup")
     top = s.small.top
-    g0, g1 = top[0] - 1, top[1] - 1
-    fiber_top = s.small.fiber_top
-    rows = []
-    for x in range(top[0] + 1):
-        up = fiber_top(0, g0 - x)
-        rows.append(sum(
-            1 << y for y in range(top[1] + 1)
-            if up <= g1 - y and fiber_top(1, g1 - y) <= g0 - x
-        ))
+    t0, t1 = top
+    up, across = s.small._fiber_tops
+    buckets = [1 << t1] + [0] * t0  # bucket t + 1 for F1(g1 - y) = t, bucket 0 for -inf
+    for y, t in enumerate(reversed(across[:t1])):
+        if t != inf:
+            buckets[0 if t == -inf else t + 1] |= 1 << y
+    within = list(accumulate(buckets, or_))  # index v + 1: F1(g1 - y) <= v
+    rows = [
+        (-1 if f == -inf else 0 if f == inf else (1 << t1 - f) - 1) & within[t0 - x]
+        for x, f in enumerate(reversed((-inf,) + up[:t0]))
+    ]
     return GoodRelativeIdeal(s, SmallSet._of_rows(rows, top))
 
 

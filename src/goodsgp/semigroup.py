@@ -16,8 +16,10 @@ the first n - 1 coordinates of [0, C], in itertools.product order, with bit
 y set exactly when (prefix, y) is a point; for n = 2, one int per column x.
 Its points are derived from the rows when read.  The closures, the row fold
 of normalize_conductor, the constructions and the ideal constructors build
-rows directly, and every check but the witness check for n != 2 reads them,
-so a result no caller lists holds no Points.
+rows directly; every check but the witness check for n != 2 reads them, and
+every n = 2 invariant reads them or the fiber-top table built from them.
+So Points are built only for what a caller lists: the points of a set, the
+points an invariant returns, and the witness pair scan for n != 2.
 The members of a box, rays and cone included, are read off the rows too
 (_box_rows), by the tail, sum, absorption, subset and saturation routines.
 
@@ -51,10 +53,13 @@ The members of a box, rays and cone included, are read off the rows too
 The checks report the same witnesses, in the same order, as the pair scans
 they replace; only the witness pair scan remains, for n != 2.  The zero
 check reads bit 0 of the first row and the conductor check reads
-membership, in every dimension.  Fiber queries (maximal elements, canonical
-ideals and minimal generating systems) all read one fiber-top table,
-cached on the set (SmallSet.fiber_top); validation reads no table, so
-validated data keeps only its rows.
+membership, in every dimension.
+
+The n = 2 invariants (maximal elements, projections, the canonical ideal
+and its generators, minimal generating systems) all read one fiber-top
+table built from the rows and cached on the set (SmallSet._fiber_tops)
+instead of listing the points.  Validation reads no table, so validated
+data keeps only its rows.
 """
 
 from __future__ import annotations
@@ -163,12 +168,6 @@ class SmallSet:
                 cols[1][_low_bit(new)] = x
                 new &= new - 1
         return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
-
-    def fiber_top(self, axis: int, value: int):
-        """n = 2 only: the largest other coordinate of a member of the
-        reconstructed set with `value` on `axis`: inf on a ray and past the
-        top, -inf when there is none."""
-        return self._fiber_tops[axis][min(value, self.top[axis])] if value >= 0 else -inf
 
     @property
     def dim(self) -> int:
@@ -888,13 +887,16 @@ def _require_dim2(s: GoodSemigroup, op: str):
 
 
 def maximal_elements(s: GoodSemigroup) -> tuple:
-    """Small elements not dominated inside the semigroup along any single axis."""
+    """Small elements not dominated inside the semigroup along any single
+    axis, in x order.
+
+    Read off the fiber tops F0, F1 (SmallSet._fiber_tops): a member (x, y)
+    has F0(x) >= y and F1(y) >= x, so it is maximal exactly when
+    y = F0(x) is finite and F1(y) = x.
+    """
     _require_dim2(s, "maximal_elements")
-    return tuple(
-        p
-        for p in s.small.points
-        if s.small.fiber_top(0, p[0]) <= p[1] and s.small.fiber_top(1, p[1]) <= p[0]
-    )
+    up, across = s.small._fiber_tops
+    return tuple(Point((x, y)) for x, y in enumerate(up) if -inf < y < inf and across[y] == x)
 
 
 def projection(s: GoodSemigroup, i: int) -> NumericalSemigroup:
@@ -902,12 +904,10 @@ def projection(s: GoodSemigroup, i: int) -> NumericalSemigroup:
     _require_dim2(s, "projection")
     if i not in (0, 1):
         raise IndexError("axis %d out of range" % (i,))
-    ci = s.small.top[i]
-    values = set(p[i] for p in s.small.points)
-    # members below top[i] are exactly the coordinates of small elements;
+    fiber = s.small._fiber_tops[i]
+    # members below top[i] are exactly the values with a point on axis i;
     # everything from top[i] on is a member via the conductor cone
-    conductor = ci
-    while conductor > 0 and conductor - 1 in values:
+    conductor = s.small.top[i]
+    while conductor > 0 and fiber[conductor - 1] > -inf:
         conductor -= 1
-    small = sorted(v for v in values if v <= conductor)
-    return ns_from_small(small, conductor)
+    return ns_from_small((u for u in range(conductor + 1) if fiber[u] > -inf), conductor)

@@ -35,6 +35,7 @@ from goodsgp import (
     ns_contains,
     ns_element_at,
     ns_from_generators,
+    ones,
     projection,
     small_set,
 )
@@ -354,6 +355,36 @@ def chain_level_closure(s):
             if level == 1:
                 raise
             level -= 1
+
+
+def maximal_by_points(s):
+    """maximal_elements by one test per small element, the reference for
+    its read of the fiber-top table: p is maximal when it is the highest
+    point of both its fibers and lies on no ray, below the top on both
+    axes."""
+    pts, top = s.small.points, s.small.top
+    up = _fiber_top(pts, 0), _fiber_top(pts, 1)
+    return tuple(p for p in pts if up[0][p[0]] == p[1] < top[1] and up[1][p[1]] == p[0] < top[0])
+
+
+def canonical_generators_by_projections(s):
+    """canonical_generators by the gaps of the projections below their
+    conductors, each placed on the opposite border, plus the reflections
+    of the maximal elements through conductor - 1: the reference for its
+    read of the fiber-top table (local s)."""
+    top = s.small.top
+    gamma = top - ones(2)
+    fam = set()
+    s1, s2 = projection(s, 0), projection(s, 1)
+    for x in range(1, s1.conductor):
+        if x not in s1:
+            fam.add(Point((gamma[0] - x, top[1])))
+    for y in range(1, s2.conductor):
+        if y not in s2:
+            fam.add(Point((top[0], gamma[1] - y)))
+    for alpha in maximal_by_points(s):
+        fam.add(gamma - alpha)
+    return tuple(sorted(fam))
 
 
 def box_members(small, bound, low=None):

@@ -261,6 +261,8 @@ def test_gi_from_generators_matches_the_brute_clamp_in_three_dimensions():
             got = _outcome(lambda: gi_from_generators(s, gens))
             assert got == _brute_generation(s, gens), (s.small, gens)
             verdicts.add(got[1].ok)
+            e = ideals.GoodRelativeIdeal(s, got[0])
+            assert e.min_element == _min_by_points(e), got[0]
     assert verdicts == {True, False}
 
 
@@ -339,6 +341,11 @@ def _stability_cases(s, rng):
         yield canonical_ideal(s)
 
 
+def _min_by_points(e):
+    """min_element by the point listing: the reference for its row read."""
+    return Point(map(min, zip(*e.small.points)))
+
+
 def test_is_stable_matches_the_pair_loop_on_random_instances():
     rng = random.Random(6330)
     verdicts = []
@@ -346,12 +353,14 @@ def test_is_stable_matches_the_pair_loop_on_random_instances():
         for e in _stability_cases(s, rng):
             got = is_stable(e)
             assert got == stable_pair_loop(e), e.small
+            assert e.min_element == _min_by_points(e), e.small
             verdicts.append(got)
     for s in _AMBIENTS3:
         for a in s.small.points:
             e = tail_ideal(s, a)
             got = is_stable(e)
             assert got == stable_pair_loop(e), e.small
+            assert e.min_element == _min_by_points(e), e.small
             verdicts.append(got)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 

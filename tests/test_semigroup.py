@@ -19,6 +19,8 @@ from goodsgp import (
     SmallSet,
     arf_closure,
     brute_member,
+    canonical_generators,
+    canonical_ideal,
     closure_small,
     good_semigroup,
     gs_contains,
@@ -26,7 +28,9 @@ from goodsgp import (
     gs_from_generators,
     gs_subset,
     is_local,
+    is_symmetric,
     maximal_elements,
+    minimal_generating_system,
     normalize_conductor,
     ns_contains,
     projection,
@@ -37,13 +41,16 @@ from goodsgp import semigroup
 
 import _data as data
 from _corpus import (
+    LADDER,
     PRODUCT3,
     box_members,
+    canonical_generators_by_projections,
     closures3,
     corpus,
     corrupt,
     kernel_cases,
     ladder_duplication,
+    maximal_by_points,
     meet_fixpoint,
     meet_pair_scan,
     product_semigroup,
@@ -326,10 +333,57 @@ def test_delta_fibers_and_maximal_elements(conductor_example):
     got = maximal_elements(conductor_example)
     assert data.points(got) == data.points(data.CONDUCTOR_MAXIMALS)
     # a maximal element has no member strictly beyond it on either fiber
-    small = conductor_example.small
+    up, across = conductor_example.small._fiber_tops
     for p in got:
-        assert small.fiber_top(0, p[0]) == p[1]
-        assert small.fiber_top(1, p[1]) == p[0]
+        assert up[p[0]] == p[1]
+        assert across[p[1]] == p[0]
+
+
+def _maximal_scan(s):
+    """The maximal elements by their definition, over the members of the box
+    up to top + 1, rays included: small elements with no member above them
+    on either fiber."""
+    top = s.small.top
+    bound = tuple(t + 1 for t in top)
+    members = set(box_members(s.small, bound))
+    return tuple(
+        Point(p) for p in sorted(members)
+        if p[0] <= top[0] and p[1] <= top[1]
+        and not any((p[0], y) in members for y in range(p[1] + 1, bound[1] + 1))
+        and not any((x, p[1]) in members for x in range(p[0] + 1, bound[0] + 1))
+    )
+
+
+def test_n2_invariants_match_the_point_scans_on_random_instances():
+    # maximal elements, projections and canonical generators read the
+    # fiber-top table; the definitions and the per-point scans agree
+    sems = corpus(515, 60, cap=12) + corpus(522, 40, cap=12, local_only=False)
+    sems += tuple(ladder_duplication(rung) for rung in LADDER)
+    assert {is_local(s) for s in sems} == {True, False}
+    for s in sems:
+        got = maximal_elements(s)
+        assert got == _maximal_scan(s) == maximal_by_points(s), s.small
+        assert all(type(p) is Point for p in got)
+        for i in (0, 1):
+            values = {p[i] for p in s.small.points}
+            proj = projection(s, i)
+            assert {v for v in range(s.small.top[i] + 2) if v in proj} == values | {
+                s.small.top[i] + 1}, (s.small, i)
+        if is_local(s):
+            assert canonical_generators(s) == canonical_generators_by_projections(s), s.small
+
+
+def test_n2_invariants_list_no_points():
+    d = ladder_duplication(55)
+    s = GoodSemigroup(SmallSet._of_rows(d.small.rows, d.small.top))
+    maximal_elements(s)
+    projection(s, 0)
+    projection(s, 1)
+    canonical_ideal(s)
+    canonical_generators(s)
+    is_symmetric(s)
+    minimal_generating_system(s)
+    assert "points" not in s.small.__dict__
 
 
 def test_projections(dup_example, amalgam_example):
@@ -343,14 +397,12 @@ def test_projections(dup_example, amalgam_example):
 
 def test_fiber_reaches(dup_example):
     # x = 6 carries members up to y = 8 and onward along the ray
-    fiber_top = dup_example.small.fiber_top
-    assert fiber_top(0, 6) == inf
-    assert fiber_top(0, 7) == 7
-    assert fiber_top(1, 3) == 3
-    assert fiber_top(0, 1) == -inf  # no member has x = 1
-    assert fiber_top(0, -1) == -inf
-    assert fiber_top(0, 20) == inf  # past the conductor
-    assert fiber_top(1, 20) == inf
+    up, across = dup_example.small._fiber_tops
+    assert up[6] == inf
+    assert up[7] == 7
+    assert across[3] == 3
+    assert up[1] == -inf  # no member has x = 1
+    assert up[-1] == across[-1] == inf  # the conductor starts both rays
 
 
 def test_membership_matches_the_brute_oracle_on_random_instances():
