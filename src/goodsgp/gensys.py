@@ -16,11 +16,10 @@ meet realizes each coordinate through one of its arguments.  On the border
 the floor test absorbs the clamp.
 
 So one rule (_removable) decides each candidate p, read off the fiber tops
-F_i of the ambient (SmallSet._fiber_tops, inf past its top): the corner is
-removable beside any other candidate, and otherwise p is when on every
-axis i with p_i below the corner another candidate lies above p on its
-fiber (x = 0), or some candidate h with h_i < p_i has
-h_j + F_i(p_i - h_i) >= p_j.
+F_i of the ambient (SmallSet.fiber_top): the corner is removable beside any
+other candidate, and otherwise p is when on every axis i with p_i below
+the corner another candidate lies above p on its fiber (x = 0), or some
+candidate h with h_i < p_i has h_j + F_i(p_i - h_i) >= p_j.
 
 A local semigroup S is the ideal S minus {0} of S for this rule.  By the
 truncated-closure membership lemma, a is in the closure of G when on every
@@ -65,7 +64,7 @@ def _removable(cands, corner, ambient: GoodSemigroup) -> list:
     tables = []
     for i in (0, 1):
         high = _highs(cands, i)
-        fiber = ambient.small._fiber_tops[i] + (inf,) * (corner[i] - ambient.small.top[i])
+        fiber = [ambient.small.fiber_top(i, u) for u in range(corner[i])]
         reach = {
             u: max((c + fiber[u - a] for a, c in high.items() if a < u), default=-inf)
             for u in {p[i] for p in cands if p[i] < corner[i]}

@@ -301,7 +301,7 @@ def canonical_generators(s: GoodSemigroup) -> tuple:
     One family per axis built from the gaps of the coordinate projections,
     placed on the opposite border, plus the reflections of the maximal
     elements through conductor - 1.  The gaps on axis i are the u in
-    [1, top_i] with no point on axis i: fiber top -inf.
+    [1, top_i) with no point on axis i: fiber top -inf.
     """
     _require_dim2(s, "canonical_generators")
     if not is_local(s):

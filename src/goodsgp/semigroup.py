@@ -57,9 +57,9 @@ membership, in every dimension.
 
 The n = 2 invariants (maximal elements, projections, the canonical ideal
 and its generators, minimal generating systems) all read one fiber-top
-table built from the rows and cached on the set (SmallSet._fiber_tops)
-instead of listing the points.  Validation reads no table, so validated
-data keeps only its rows.
+table built from the rows and cached on the set (SmallSet._fiber_tops,
+read per value through SmallSet.fiber_top) instead of listing the points.
+Validation reads no table, so validated data keeps only its rows.
 """
 
 from __future__ import annotations
@@ -168,6 +168,12 @@ class SmallSet:
                 cols[1][_low_bit(new)] = x
                 new &= new - 1
         return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
+
+    def fiber_top(self, axis: int, value: int):
+        """n = 2 only: the largest other coordinate of a member of the
+        reconstructed set with `value` on `axis`: inf on a ray and past the
+        top, -inf when there is none."""
+        return self._fiber_tops[axis][min(value, self.top[axis])] if value >= 0 else -inf
 
     @property
     def dim(self) -> int:

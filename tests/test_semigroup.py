@@ -333,10 +333,10 @@ def test_delta_fibers_and_maximal_elements(conductor_example):
     got = maximal_elements(conductor_example)
     assert data.points(got) == data.points(data.CONDUCTOR_MAXIMALS)
     # a maximal element has no member strictly beyond it on either fiber
-    up, across = conductor_example.small._fiber_tops
+    small = conductor_example.small
     for p in got:
-        assert up[p[0]] == p[1]
-        assert across[p[1]] == p[0]
+        assert small.fiber_top(0, p[0]) == p[1]
+        assert small.fiber_top(1, p[1]) == p[0]
 
 
 def _maximal_scan(s):
@@ -397,12 +397,14 @@ def test_projections(dup_example, amalgam_example):
 
 def test_fiber_reaches(dup_example):
     # x = 6 carries members up to y = 8 and onward along the ray
-    up, across = dup_example.small._fiber_tops
-    assert up[6] == inf
-    assert up[7] == 7
-    assert across[3] == 3
-    assert up[1] == -inf  # no member has x = 1
-    assert up[-1] == across[-1] == inf  # the conductor starts both rays
+    fiber_top = dup_example.small.fiber_top
+    assert fiber_top(0, 6) == inf
+    assert fiber_top(0, 7) == 7
+    assert fiber_top(1, 3) == 3
+    assert fiber_top(0, 1) == -inf  # no member has x = 1
+    assert fiber_top(0, -1) == -inf
+    assert fiber_top(0, 20) == inf  # past the conductor
+    assert fiber_top(1, 20) == inf
 
 
 def test_membership_matches_the_brute_oracle_on_random_instances():
