@@ -15,11 +15,15 @@ cone of the corner.  Necessity: members are meets of points of H + S, and a
 meet realizes each coordinate through one of its arguments.  On the border
 the floor test absorbs the clamp.
 
-So one rule (_removable) decides each candidate p, read off the fiber tops
-F_i of the ambient (SmallSet.fiber_top): the corner is removable beside any
-other candidate, and otherwise p is when on every axis i with p_i below
-the corner another candidate lies above p on its fiber (x = 0), or some
-candidate h with h_i < p_i has h_j + F_i(p_i - h_i) >= p_j.
+So one rule (_generators) decides each candidate p: p is removable when
+on every axis i with p_i below the corner another candidate lies above p
+on its fiber (x = 0), or some candidate h with h_i < p_i has
+h_j + F_i(p_i - h_i) >= p_j, F_i the fiber tops of the ambient
+(SmallSet.fiber_top).  Only the last candidate on each fiber counts, so
+with H_i the candidates' last points, read by the scan behind F_i
+(_last_points), the rule is p_j <= B_i(p_i) on every such axis, where
+B_i(u) = max(H_i(u) - 1, max over a < u of H_i(a) + F_i(u - a)).  The
+corner has no such axis and is removable beside any other candidate.
 
 A local semigroup S is the ideal S minus {0} of S for this rule.  By the
 truncated-closure membership lemma, a is in the closure of G when on every
@@ -37,7 +41,9 @@ from math import inf
 
 from .errors import NonLocalError, NotAGeneratingSystem
 from .lattice import Point, meet
-from .semigroup import GoodSemigroup, _require_dim2, _row_tuples, closure_small, is_local
+from .semigroup import (
+    GoodSemigroup, _last_points, _require_dim2, _row_tuples, _rows, closure_small, is_local,
+)
 
 __all__ = [
     "is_minimal_system",
@@ -46,36 +52,24 @@ __all__ = [
 ]
 
 
-def _highs(gens, axis) -> dict:
-    """Each value the points take on axis mapped to their largest other
-    coordinate, the one point of that value that counts."""
-    high = {}
-    for g in gens:
-        if g[1 - axis] > high.get(g[axis], -1):
-            high[g[axis]] = g[1 - axis]
-    return high
-
-
-def _removable(cands, corner, ambient: GoodSemigroup) -> list:
-    """Per candidate, distinct points of [0, corner], whether it lies in the
-    closure of the others, by the one rule of the module docstring."""
-    if len(cands) < 2:
-        return [False] * len(cands)  # the closure of nothing has no point
-    tables = []
-    for i in (0, 1):
-        high = _highs(cands, i)
+def _generators(rows, corner, ambient: GoodSemigroup) -> list:
+    """The points of the bit rows of [0, corner], distinct candidates, that
+    lie outside the closure of the other candidates, in lexicographic
+    order, by the one rule of the module docstring."""
+    pts = list(_row_tuples(rows, corner))
+    if len(pts) < 2:
+        return pts  # the closure of nothing has no point
+    bounds = []  # per axis i, B_i(u) for each u below the corner holding a candidate
+    for i, last in enumerate(_last_points(rows, corner)):
         fiber = [ambient.small.fiber_top(i, u) for u in range(corner[i])]
-        reach = {
-            u: max((c + fiber[u - a] for a, c in high.items() if a < u), default=-inf)
-            for u in {p[i] for p in cands if p[i] < corner[i]}
-        }
-        tables.append((high, reach))
+        held = [(u, h) for u, h in enumerate(last) if h > -inf]
+        bounds.append({
+            u: max([h - 1] + [g + fiber[u - a] for a, g in held if a < u])
+            for u, h in held if u < corner[i]
+        })
     return [
-        p == corner or all(
-            high[p[i]] > p[1 - i] or reach[p[i]] >= p[1 - i]
-            for i, (high, reach) in enumerate(tables) if p[i] < corner[i]
-        )
-        for p in cands
+        p for p in pts
+        if not all(p[1 - i] <= b[p[i]] for i, b in enumerate(bounds) if p[i] < corner[i])
     ]
 
 
@@ -101,7 +95,7 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
         return False  # contains 0, which is always removable
     if live:
         _require_dim2(s, "is_minimal_system")
-    return not any(_removable(live, top, s))
+    return len(_generators(_rows(live, top), top, s)) == len(live)
 
 
 def minimal_generating_system(s: GoodSemigroup) -> tuple:
@@ -110,11 +104,11 @@ def minimal_generating_system(s: GoodSemigroup) -> tuple:
     nonzero small elements, in lexicographic order."""
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
-    top = s.small.top
-    cands = [p for p in _row_tuples(s.small.rows, top) if any(p)]
-    if cands:
+    rows = list(s.small.rows)
+    rows[0] &= ~1  # the candidates: every small element but 0
+    if any(rows):
         _require_dim2(s, "minimal_generating_system")
-    return tuple(Point(a) for a, out in zip(cands, _removable(cands, top, s)) if not out)
+    return tuple(map(Point, _generators(rows, s.small.top, s)))
 
 
 def minimal_ideal_generating_system(e) -> tuple:
@@ -129,6 +123,4 @@ def minimal_ideal_generating_system(e) -> tuple:
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local ambient")
     _require_dim2(s, "minimal_ideal_generating_system")
-    top = e.small.top
-    pts = list(_row_tuples(e.small.rows, top))
-    return tuple(Point(p) for p, out in zip(pts, _removable(pts, top, s)) if not out)
+    return tuple(map(Point, _generators(e.small.rows, e.small.top, s)))

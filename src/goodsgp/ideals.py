@@ -129,10 +129,10 @@ class GoodRelativeIdeal:
 def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> ValidationReport:
     """Check the good ideal axioms on a candidate small set.
 
-    Reports at most one witness per violated axiom: meet closure, the shared
-    coordinate witness property, absorption of ambient members, and
-    minimality of the conductor.  There is no zero or sum closure axiom for
-    ideals.
+    Reports at most one witness per violated axiom, and one per axis on
+    which the top can be lowered: meet closure, the shared coordinate
+    witness property, absorption of ambient members, and minimality of the
+    conductor.  There is no zero or sum closure axiom for ideals.
 
     Absorption adds every ambient member q of the box up to the join of both
     conductors to the data; beyond it every sum clamps to one already

@@ -52,13 +52,16 @@ The members of a box, rays and cone included, are read off the rows too
 
 The checks report the same witnesses, in the same order, as the pair scans
 they replace; only the witness pair scan remains, for n != 2.  The zero
-check reads bit 0 of the first row and the conductor check reads
-membership, in every dimension.
+check reads bit 0 of the first row, and the conductor check and
+normalize_conductor read one mask per bit row of a slab (_slab_full), in
+every dimension.
 
 The n = 2 invariants (maximal elements, projections, the canonical ideal
 and its generators, minimal generating systems) all read one fiber-top
-table built from the rows and cached on the set (SmallSet._fiber_tops,
-read per value through SmallSet.fiber_top) instead of listing the points.
+table, built from the rows by one right to left scan (_last_points) and
+cached on the set (SmallSet._fiber_tops, read per value through
+SmallSet.fiber_top), instead of listing the points; the generating
+systems read their candidates' last points from the same scan.
 Validation reads no table, so validated data keeps only its rows.
 """
 
@@ -155,19 +158,10 @@ class SmallSet:
 
     @cached_property
     def _fiber_tops(self) -> tuple:
-        """n = 2: per axis i and u in [0, top_i], the other coordinate of
-        the last (highest) point with u on axis i, -inf for none, and inf
-        where it lies on the top of the other axis and so starts a ray."""
-        rows, (t0, t1) = self.rows, self.top
-        cols = [r.bit_length() - 1 if r else -inf for r in rows], [-inf] * (t1 + 1)
-        seen = 0
-        for x in range(t0, -1, -1):  # a bit first seen from the right is its last point
-            new = rows[x] & ~seen
-            seen |= new
-            while new:
-                cols[1][_low_bit(new)] = x
-                new &= new - 1
-        return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, (t1, t0)))
+        """n = 2: the last points (_last_points) with inf where the last
+        point lies on the top of the other axis and so starts a ray."""
+        cols = _last_points(self.rows, self.top)
+        return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, self.top[::-1]))
 
     def fiber_top(self, axis: int, value: int):
         """n = 2 only: the largest other coordinate of a member of the
@@ -333,6 +327,21 @@ def _row_tuples(rows, top):
     )
 
 
+def _last_points(rows, top) -> tuple:
+    """n = 2: per axis i and u in [0, top_i], the other coordinate of the
+    last (highest) point of the bit rows of [0, top] with u on axis i, -inf
+    for none."""
+    cols = [r.bit_length() - 1 if r else -inf for r in rows], [-inf] * (top[1] + 1)
+    seen = 0
+    for x in range(top[0], -1, -1):  # a bit first seen from the right is its last point
+        new = rows[x] & ~seen
+        seen |= new
+        while new:
+            cols[1][_low_bit(new)] = x
+            new &= new - 1
+    return cols
+
+
 def _row_points(rows, top) -> tuple:
     """The points of the bit rows of [0, top], in lexicographic order."""
     return tuple(map(Point, _row_tuples(rows, top)))
@@ -454,33 +463,39 @@ def closure_small(gens, conductor) -> SmallSet:
     return SmallSet._of_rows(_meet_closure(rows, top), top)
 
 
+def _slab_full(rows, top, m, axis) -> bool:
+    """Whether the bit rows of [0, top] hold the slab {p_axis = m_axis - 1,
+    m_j <= p_j <= top_j elsewhere}, m <= top and m_axis > 0: per bit row of
+    the slab, one mask test of bits m_n to top_n, or of bit m_n - 1 when
+    axis is the last."""
+    *head, last = top
+    ranges = [range(lo, t + 1) for lo, t in zip(m, head)]
+    if axis < len(head):
+        ranges[axis] = (m[axis] - 1,)
+        mask = (1 << last + 1) - (1 << m[-1])
+    else:
+        mask = 1 << m[-1] - 1
+    strides = _strides([t + 1 for t in head])
+    return all(rows[sum(map(mul, q, strides))] & mask == mask for q in itertools.product(*ranges))
+
+
 def normalize_conductor(small: SmallSet) -> SmallSet:
     """Lower the top as far as the filled corner box allows, then re-truncate.
 
     A candidate conductor m is usable when every lattice point of [m, top] is
     present.  For meet closed sets the usable region is itself a box, so
-    per axis descent finds its minimum.  Points are then replaced by their
-    meets with the new top, a fold of the bit rows (_fold_rows).
+    per axis descent finds its minimum: m_i drops while the slab at
+    m_i - 1 between m and top on the other axes is full (_slab_full).
+    Points are then replaced by their meets with the new top, a fold of the
+    bit rows (_fold_rows).
     """
     top = tuple(small.top)
-    n = len(top)
     m = list(top)
-
-    def slab_filled(axis):
-        # the layer at m[axis] - 1 between m and top on the other axes
-        ranges = []
-        for j in range(n):
-            if j == axis:
-                ranges.append((m[axis] - 1,))
-            else:
-                ranges.append(range(m[j], top[j] + 1))
-        return all(map(small.contains, itertools.product(*ranges)))
-
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            while m[i] > 0 and slab_filled(i):
+        for i in range(len(m)):
+            while m[i] > 0 and _slab_full(small.rows, top, m, i):
                 m[i] -= 1
                 changed = True
     if m == list(top):
@@ -784,31 +799,23 @@ def _tail_sum_closed(small: SmallSet, a) -> bool:
 
 
 def _conductor_violations(small: SmallSet) -> list:
-    """One violation per axis on which the top can be lowered by one step."""
+    """One violation per axis on which the top can be lowered by one step:
+    the slab at m = top (_slab_full) is the single point top - e_i."""
     top = tuple(small.top)
-    out = []
-    for i in range(len(top)):
-        if top[i] == 0:
-            continue
-        lower = tuple(t - 1 if j == i else t for j, t in enumerate(top))
-        if small.contains(lower):
-            out.append(
-                Violation(
-                    "conductor",
-                    (Point(lower),),
-                    i,
-                    "conductor is not minimal: it can be lowered on this axis",
-                )
-            )
-    return out
+    return [
+        Violation("conductor", (Point(top[:i] + (t - 1,) + top[i + 1 :]),), i,
+                  "conductor is not minimal: it can be lowered on this axis")
+        for i, t in enumerate(top) if t and _slab_full(small.rows, top, top, i)
+    ]
 
 
 def validate_small_set(small: SmallSet) -> ValidationReport:
     """Check the good semigroup axioms on a candidate small set.
 
-    Reports at most one witness per violated axiom: presence of 0, meet
-    closure, closure under (truncated) addition, the shared coordinate
-    witness property, and minimality of the conductor.
+    Reports at most one witness per violated axiom, and one per axis on
+    which the top can be lowered: presence of 0, meet closure, closure
+    under (truncated) addition, the shared coordinate witness property,
+    and minimality of the conductor.
     """
     violations = []
     if not small.rows[0] & 1:  # bit 0 of the row at prefix 0

@@ -13,6 +13,7 @@ import itertools
 import random
 from functools import lru_cache
 from itertools import accumulate
+from math import inf
 from operator import lt, or_
 
 from goodsgp import (
@@ -41,7 +42,7 @@ from goodsgp import (
 )
 from goodsgp import ideals, semigroup
 from goodsgp.ideals import good_ideal
-from goodsgp.semigroup import _box_rows, _low_bit, _meet_closure
+from goodsgp.semigroup import _box_rows, _fold_rows, _low_bit, _meet_closure
 
 # The benchmark's conductor ladder: the duplications "S by e + S" of <3,5> by
 # 5 (C=13), <5,7> by 7 (C=31), <9,11,13> by 11 (C=55) and <16,17,18,19> by
@@ -629,6 +630,61 @@ def membership_in_closure(gens, conductor, a):
         _reach(gens, i, conductor[i] - 1, conductor[1 - i])[a[i]] >= a[1 - i]
         for i in (0, 1) if a[i] != conductor[i]
     )
+
+
+def removable_by_candidates(cands, corner, ambient):
+    """Per candidate, distinct points of [0, corner], whether it lies in the
+    closure of the others, by the removal rule with its tables built from
+    the candidate tuples (_fiber_top per axis) and the candidates tested one
+    by one: the reference for gensys._generators, which reads the same
+    tables off bit rows."""
+    if len(cands) < 2:
+        return [False] * len(cands)  # the closure of nothing has no point
+    tables = []
+    for i in (0, 1):
+        high = _fiber_top(cands, i)
+        fiber = [ambient.small.fiber_top(i, u) for u in range(corner[i])]
+        reach = {
+            u: max((c + fiber[u - a] for a, c in high.items() if a < u), default=-inf)
+            for u in {p[i] for p in cands if p[i] < corner[i]}
+        }
+        tables.append((high, reach))
+    return [
+        p == corner or all(
+            high[p[i]] > p[1 - i] or reach[p[i]] >= p[1 - i]
+            for i, (high, reach) in enumerate(tables) if p[i] < corner[i]
+        )
+        for p in cands
+    ]
+
+
+def normalize_by_points(small):
+    """normalize_conductor with each slab tested by one membership call per
+    point: the reference for its slab test by bit-row masks."""
+    top = tuple(small.top)
+    n = len(top)
+    m = list(top)
+
+    def slab_filled(axis):
+        # the layer at m[axis] - 1 between m and top on the other axes
+        ranges = []
+        for j in range(n):
+            if j == axis:
+                ranges.append((m[axis] - 1,))
+            else:
+                ranges.append(range(m[j], top[j] + 1))
+        return all(map(small.contains, itertools.product(*ranges)))
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            while m[i] > 0 and slab_filled(i):
+                m[i] -= 1
+                changed = True
+    if m == list(top):
+        return small
+    return SmallSet._of_rows(_fold_rows(small.rows, top, m), Point(m))
 
 
 def sequential_elimination(order, generated):

@@ -11,6 +11,7 @@ from goodsgp import (
     NonLocalError,
     NotAGeneratingSystem,
     Point,
+    canonical_ideal,
     closure_small,
     brute_member,
     gs_contains,
@@ -27,8 +28,8 @@ from goodsgp import (
 
 import _data as data
 from _corpus import (
-    corpus, membership_in_closure, monoid_fiber_reach, sequential_elimination,
-    shuffled_eliminations,
+    LADDER, corpus, ladder_duplication, membership_in_closure, monoid_fiber_reach,
+    removable_by_candidates, sequential_elimination, shuffled_eliminations,
 )
 
 
@@ -103,6 +104,47 @@ def test_the_conductor_is_removable_only_beside_another_candidate(dup_example):
     assert is_minimal_system([(1, 1)], s) is True
     gens = data.DUP_MINGENS + [list(dup_example.small.top)]
     assert is_minimal_system(gens, dup_example) is False
+    # (60, 80) clamps onto the conductor (8, 8); a tail at the conductor
+    # holds the conductor alone, which the closure of nothing does not hold
+    assert is_minimal_system(data.DUP_MINGENS + [[60, 80]], dup_example) is False
+    top = dup_example.small.top
+    assert minimal_ideal_generating_system(tail_ideal(dup_example, top)) == (top,)
+
+
+def _kept_by_candidates(pts, top, s):
+    """The candidates the reference removal rule keeps, as Points."""
+    cands = [tuple(p) for p in pts]
+    return tuple(Point(p) for p, out in zip(cands, removable_by_candidates(cands, top, s))
+                 if not out)
+
+
+def test_generating_systems_match_the_candidate_scan_on_random_instances():
+    # minimal systems of the corpus and the ladder, minimal systems of
+    # their tails at the multiplicity, principal and canonical ideals, and
+    # is_minimal_system on the minimal system, on it plus one redundant
+    # small element and on every nonzero small element
+    rng = random.Random(2031)
+    verdicts = set()
+    for s in corpus(514, 25, cap=13) + tuple(map(ladder_duplication, LADDER)):
+        top = s.small.top
+        nonzero = [p for p in s.small.points if any(p)]
+        base = minimal_generating_system(s)
+        assert base == _kept_by_candidates(nonzero, top, s)
+        multiplicity = tuple(map(min, zip(*nonzero)))
+        for e in (tail_ideal(s, multiplicity), gi_from_generators(s, [rng.choice(nonzero)]),
+                  canonical_ideal(s)):
+            got = minimal_ideal_generating_system(e)
+            assert got == _kept_by_candidates(e.small.points, e.small.top, s), e.small
+        redundant = [p for p in nonzero if p not in base]
+        systems = [list(base), nonzero]
+        if redundant:
+            systems.append(list(base) + [rng.choice(redundant)])
+        for gens in systems:
+            got = is_minimal_system(gens, s)
+            assert got == (not any(removable_by_candidates(sorted(gens), top, s)))
+            assert got == (len(gens) == len(base))
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_monoid_fiber_reach():

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from goodsgp import (
     DimensionMismatch,
     GoodSemigroup,
+    NotGoodIdeal,
     NotGoodSemigroup,
     Point,
     SmallSet,
@@ -35,14 +36,17 @@ from goodsgp import (
     ns_contains,
     projection,
     small_set,
+    sum_ideals,
+    tail_ideal,
     validate_small_set,
 )
-from goodsgp import semigroup
+from goodsgp import ideals, semigroup
 
 import _data as data
 from _corpus import (
     LADDER,
     PRODUCT3,
+    _fiber_top,
     box_members,
     canonical_generators_by_projections,
     closures3,
@@ -53,6 +57,7 @@ from _corpus import (
     maximal_by_points,
     meet_fixpoint,
     meet_pair_scan,
+    normalize_by_points,
     product_semigroup,
     sum_pair_scan,
 )
@@ -494,6 +499,18 @@ def test_fiber_top_witness_test_matches_the_pair_scan(small):
     assert set(fast) <= set(scan)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.one_of(_boxed_subsets(), _thinned_semigroups()))
+def test_last_points_match_the_point_scan(small):
+    # the rows of the set, and of the set without its top, which may be empty
+    top = small.top
+    for pts in (small.points, small.points[:-1]):
+        got = semigroup._last_points(semigroup._rows(pts, top), top)
+        for i in (0, 1):
+            last = _fiber_top(pts, i)
+            assert got[i] == [last.get(u, -inf) for u in range(top[i] + 1)]
+
+
 @st.composite
 def _boxes(draw):
     """A small set in N^2 or N^3 and a box [low, bound] to read it in: the
@@ -634,6 +651,47 @@ def test_zero_and_conductor_reports_read_off_the_points(case):
            if v.axiom in ("zero", "conductor")]
     assert got == _zero_and_conductor_by_points(small)
     assert bool(got) == (axiom in ("zero", "conductor"))
+
+
+def _doubled_tail_data(s, a):
+    """The data sum_ideals hands to normalize_conductor for the tail of s at
+    a added to itself, whether the sum turns out good or not."""
+    t = tail_ideal(s, a)
+    with mock.patch.object(ideals, "normalize_conductor", wraps=normalize_conductor) as norm:
+        try:
+            sum_ideals(t, t)
+        except NotGoodIdeal:
+            pass
+    return norm.call_args.args[0]
+
+
+def test_conductor_slabs_match_the_membership_scan():
+    # kernel_cases (corruptions and tails included), the N^3 closures, the
+    # corrupted ladder rungs and doubled tails in N^2 and N^3, each also
+    # read in the box one step past its top, where the top always descends
+    cases = [small for _, small in kernel_cases()] + list(closures3(3, 400))
+    for rung in (13, 31):
+        small = ladder_duplication(rung).small
+        cases += [small_set(*corrupt(small.points, small.top, axiom))
+                  for axiom in ("zero", "meet", "sum", "witness", "conductor")]
+    for s in corpus(519, 12, cap=9):
+        cases += [_doubled_tail_data(s, a) for a in s.small.points[1::3]]
+    cases.append(_doubled_tail_data(ladder_duplication(31), (15, 14)))
+    for small in closures3(3, 40, cap=5):
+        if validate_small_set(small).ok:
+            cases += [_doubled_tail_data(GoodSemigroup(small), a) for a in small.points]
+    for small in list(cases):
+        bound = Point(t + 1 for t in small.top)
+        cases.append(SmallSet._of_rows(semigroup._box_rows(small, bound), bound))
+    verdicts = set()
+    for small in cases:
+        got, want = normalize_conductor(small), normalize_by_points(small)
+        assert (got.top, got.rows) == (want.top, want.rows), small
+        for norm in (small, got):
+            report = [(v.axiom, v.witness, v.axis) for v in semigroup._conductor_violations(norm)]
+            assert report == [c for c in _zero_and_conductor_by_points(norm) if c[0] == "conductor"]
+            verdicts.add((norm.dim, bool(report)))
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=600)
