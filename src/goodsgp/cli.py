@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .arf import arf_closure, arf_saturation, is_arf
 from .constructions import amalgamation, cartesian, duplication, from_maximal_elements
@@ -119,15 +120,15 @@ def _int_list(doc, key) -> list:
 
 
 def _point_list(doc, key) -> list:
+    """The point lists of doc[key], handed on unchanged once one scan of
+    the item types, one for empty items and one of the coordinate types
+    find nonempty lists of ints only (for JSON data, _ints of every item)."""
     val = doc.get(key)
     if not isinstance(val, list):
         raise _InputError('"%s" must be a list of integer points' % (key,))
-    pts = []
-    for item in val:
-        if not _ints(item):
-            raise _InputError('"%s" must contain integer point lists' % (key,))
-        pts.append(tuple(item))
-    return pts
+    if not (set(map(type, val)) <= {list} and all(val) and set(map(type, chain(*val))) <= {int}):
+        raise _InputError('"%s" must contain integer point lists' % (key,))
+    return val
 
 
 def _numerical(doc, key):

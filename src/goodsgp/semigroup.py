@@ -54,7 +54,8 @@ The checks report the same witnesses, in the same order, as the pair scans
 they replace; only the witness pair scan remains, for n != 2.  The zero
 check reads bit 0 of the first row, and the conductor check and
 normalize_conductor read one mask per bit row of a slab (_slab_full), in
-every dimension.
+every dimension; normalize_conductor's descent on the last axis ANDs that
+slab's rows once and then reads one bit per step.
 
 The n = 2 invariants (maximal elements, projections, the canonical ideal
 and its generators, minimal generating systems) all read one fiber-top
@@ -69,9 +70,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import inf, prod
-from operator import add, gt, itemgetter, lt, mul, or_, sub
+from operator import add, and_, itemgetter, le, lt, mul, or_, sub
 
 from .errors import (
     DimensionMismatch,
@@ -191,28 +192,27 @@ class SmallSet:
 def small_set(points, top=None) -> SmallSet:
     """Normalize raw point data into a SmallSet.
 
-    With top omitted, the componentwise maximum of the points is used; it
-    must itself be one of the points.  The rows are built from the points
-    directly; data failing a check of SmallSet goes through SmallSet, in
-    point order, for its error.
+    Points may come in any order and repeat.  With top omitted, the
+    componentwise maximum of the points is used; it must itself be one of
+    the points.  Lists, tuples or Points of ints are read by axis (zip):
+    maps over the points and the axes check the types, the dimension, the
+    signs and the bounds, one pass over the points sets their bits (_rows),
+    and the top's bit is read back.  Other data, and data failing a check, goes through SmallSet as
+    sorted Points, which names the first offender.
     """
-    pts = set()
-    for p in points:
-        q = tuple(map(int, p))
-        if not q:
-            raise ValueError("a point needs at least one coordinate")
-        pts.add(q)
+    pts = list(points)
+    axes = list(zip(*pts)) if set(map(type, pts)) <= _SEQUENCES else []
+    ints = set(map(type, itertools.chain(*axes))) == {int}
+    if ints and set(map(len, pts)) == {len(axes)}:
+        box = Point(map(max, axes) if top is None else top)
+        if len(box) == len(axes) and min(map(min, axes)) >= 0 and all(map(le, map(max, axes), box)):
+            rows = _rows(pts, box)
+            if rows[-1] >> box[-1] & 1:
+                return SmallSet._of_rows(rows, box)
+    pts = sorted(set(map(Point, pts)))
     if not pts:
         raise ValueError("empty point set")
-    top = Point(map(max, zip(*pts)) if top is None else top)
-    if (
-        {len(p) for p in pts} != {len(top)}
-        or min(map(min, pts)) < 0
-        or any(map(gt, map(max, zip(*pts)), top))
-        or top not in pts
-    ):
-        return SmallSet(sorted(map(Point, pts)), top)
-    return SmallSet._of_rows(_rows(pts, top), top)
+    return SmallSet(pts, Point(map(max, zip(*pts)) if top is None else top))
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,7 @@ class GoodSemigroup:
         return gs_contains(self, p)
 
 
+_SEQUENCES = {list, tuple, Point}  # the point types small_set reads by axis
 _head = itemgetter(slice(-1))  # a point's prefix: all but its last coordinate
 
 
@@ -272,11 +273,19 @@ def _strides(sides) -> list:
 
 def _rows(points, top) -> list:
     """The bit rows of points inside [0, top] (see SmallSet.rows), in any
-    order."""
+    order: the row index of a point is its last prefix coordinate plus the
+    others times their strides, summed axis by axis over zip(*points), and
+    one pass over the points sets their bits."""
     sides = [max(t + 1, 0) for t in top[:-1]]
-    strides, rows = _strides(sides), [0] * prod(sides)
-    for p in points:
-        rows[sum(map(mul, p, strides))] |= 1 << p[-1]
+    rows = [0] * prod(sides)
+    axes = list(zip(*points))
+    if axes:
+        *heads, last = axes
+        index = heads.pop() if heads else itertools.repeat(0)  # the last stride is 1
+        for a, s in zip(heads, _strides(sides)):
+            index = map(add, index, map(mul, a, itertools.repeat(s)))
+        for i, y in zip(index, last):
+            rows[i] |= 1 << y
     return rows
 
 
@@ -320,11 +329,12 @@ def _fold_rows(rows, top, m) -> list:
 
 def _row_tuples(rows, top):
     """The points of the bit rows of [0, top] as plain tuples, in
-    lexicographic order."""
-    return (
-        p + (y,) for p, r in zip(_prefixes(top), rows) for y in range(r.bit_length())
-        if r >> y & 1
-    )
+    lexicographic order: per row, its set bits from the lowest up."""
+    for p, r in zip(_prefixes(top), rows):
+        while r:
+            low = r & -r
+            yield p + (low.bit_length() - 1,)
+            r ^= low
 
 
 def _last_points(rows, top) -> tuple:
@@ -352,14 +362,16 @@ def _padding(top):
     min(p + a', top') that a sends the row at p to sits in the padded prefix
     box, whose axis j runs to 2 top_j, at o(p) + o(a), where o(a) is
     sum(map(mul, map(min, a, top), strides)).  Returns the padded strides,
-    o(p) per row, and per padded entry the index of the row it stands for.
+    o(p) per row, and per padded entry the index of the row it stands for;
+    both tables are sums over the product of one list per axis.
     """
     heads = top[:-1]
     strides = _strides([2 * t + 1 for t in heads])
     row_strides = _strides([t + 1 for t in heads])
-    padded = itertools.product(*(range(2 * t + 1) for t in heads))
-    clamp = [sum(map(mul, map(min, q, heads), row_strides)) for q in padded]
-    return strides, [sum(map(mul, p, strides)) for p in _prefixes(top)], clamp
+    offsets = itertools.product(*(range(0, t * s + 1, s) for t, s in zip(heads, strides)))
+    clamp = itertools.product(
+        *([min(u, t) * s for u in range(2 * t + 1)] for t, s in zip(heads, row_strides)))
+    return strides, list(map(sum, offsets)), list(map(sum, clamp))
 
 
 def _sum_closure(gens, top) -> list:
@@ -463,20 +475,27 @@ def closure_small(gens, conductor) -> SmallSet:
     return SmallSet._of_rows(_meet_closure(rows, top), top)
 
 
-def _slab_full(rows, top, m, axis) -> bool:
-    """Whether the bit rows of [0, top] hold the slab {p_axis = m_axis - 1,
-    m_j <= p_j <= top_j elsewhere}, m <= top and m_axis > 0: per bit row of
-    the slab, one mask test of bits m_n to top_n, or of bit m_n - 1 when
-    axis is the last."""
-    *head, last = top
+def _slab_rows(rows, top, m, axis):
+    """The bit rows of [0, top] at the prefixes of the slab {p_axis =
+    m_axis - 1, m_j <= p_j <= top_j elsewhere}, m <= top and m_axis > 0; for
+    the last axis, every row at a prefix from m' to top'."""
+    head = top[:-1]
     ranges = [range(lo, t + 1) for lo, t in zip(m, head)]
     if axis < len(head):
         ranges[axis] = (m[axis] - 1,)
-        mask = (1 << last + 1) - (1 << m[-1])
+    strides = _strides([t + 1 for t in head])
+    return (rows[sum(map(mul, q, strides))] for q in itertools.product(*ranges))
+
+
+def _slab_full(rows, top, m, axis) -> bool:
+    """Whether the bit rows of [0, top] hold the slab at m on axis (see
+    _slab_rows): per bit row of the slab, one mask test of bits m_n to
+    top_n, or of bit m_n - 1 when axis is the last."""
+    if axis < len(top) - 1:
+        mask = (1 << top[-1] + 1) - (1 << m[-1])
     else:
         mask = 1 << m[-1] - 1
-    strides = _strides([t + 1 for t in head])
-    return all(rows[sum(map(mul, q, strides))] & mask == mask for q in itertools.product(*ranges))
+    return all(r & mask == mask for r in _slab_rows(rows, top, m, axis))
 
 
 def normalize_conductor(small: SmallSet) -> SmallSet:
@@ -485,22 +504,28 @@ def normalize_conductor(small: SmallSet) -> SmallSet:
     A candidate conductor m is usable when every lattice point of [m, top] is
     present.  For meet closed sets the usable region is itself a box, so
     per axis descent finds its minimum: m_i drops while the slab at
-    m_i - 1 between m and top on the other axes is full (_slab_full).
+    m_i - 1 between m and top on the other axes is full (_slab_full).  The
+    slab rows of the last axis do not move while it descends, so their AND
+    is taken once per descent and each step tests one bit of it.
     Points are then replaced by their meets with the new top, a fold of the
     bit rows (_fold_rows).
     """
-    top = tuple(small.top)
+    rows, top = small.rows, tuple(small.top)
     m = list(top)
     changed = True
     while changed:
         changed = False
-        for i in range(len(m)):
-            while m[i] > 0 and _slab_full(small.rows, top, m, i):
+        for i in range(len(m) - 1):
+            while m[i] > 0 and _slab_full(rows, top, m, i):
                 m[i] -= 1
                 changed = True
+        slab = reduce(and_, _slab_rows(rows, top, m, len(m) - 1))
+        while m[-1] > 0 and slab >> m[-1] - 1 & 1:
+            m[-1] -= 1
+            changed = True
     if m == list(top):
         return small
-    return SmallSet._of_rows(_fold_rows(small.rows, top, m), Point(m))
+    return SmallSet._of_rows(_fold_rows(rows, top, m), Point(m))
 
 
 def _witness_search(point_set, top, exact, floor, axis, strict_above):

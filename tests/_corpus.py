@@ -658,6 +658,16 @@ def removable_by_candidates(cands, corner, ambient):
     ]
 
 
+def small_set_by_points(points, top=None):
+    """small_set by way of the sorted Points and the checks of SmallSet:
+    the reference for the checks and messages of small_set."""
+    pts = sorted(set(map(Point, points)))
+    if not pts:
+        raise ValueError("empty point set")
+    top = Point(max(x) for x in zip(*pts)) if top is None else Point(top)
+    return SmallSet(tuple(pts), top)
+
+
 def normalize_by_points(small):
     """normalize_conductor with each slab tested by one membership call per
     point: the reference for its slab test by bit-row masks."""

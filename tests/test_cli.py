@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import pathlib
+import random
+import sys
+from unittest import mock
 
 import pytest
 
 from goodsgp import cli
 
 import _data as data
+from _corpus import small_set_by_points
 
 
 def _write(tmp_path, name, doc):
@@ -105,6 +110,103 @@ def test_small_round_trips_through_a_small_document(capsys, tmp_path, dup_doc):
     code, out2, _ = _run(capsys, ["small", doc])
     assert code == 0
     assert json.loads(out2) == payload
+
+
+def _point_list_by_items(doc, key):
+    """cli._point_list with one _ints test per item, each point copied to a
+    tuple: the reference for its checks and messages."""
+    val = doc.get(key)
+    if not isinstance(val, list):
+        raise cli._InputError('"%s" must be a list of integer points' % (key,))
+    pts = []
+    for item in val:
+        if not cli._ints(item):
+            raise cli._InputError('"%s" must contain integer point lists' % (key,))
+        pts.append(tuple(item))
+    return pts
+
+
+# small sets to build documents from: a local one, a product, one that
+# fails validation, and one of N^3
+_SMALL_BASES = [
+    (data.DUP_SMALL, data.DUP_CONDUCTOR),
+    (data.PRODUCT_SMALL, data.PRODUCT_CONDUCTOR),
+    (data.FIGURE_REJECTS[0]["closure"], data.FIGURE_REJECTS[0]["conductor"]),
+    (_LOCAL3["small"], _LOCAL3["conductor"]),
+]
+_JUNK = (1.0, 2.5, -0.0, True, False, "1", "", None, [], [1], [[0, 0]], {"x": 1})
+
+
+def _junk_small_document(rng):
+    """A "small" document as a user may write one: the points of a small
+    set in any order, with repeats, up to three defects (a junk value for a
+    coordinate or a point, a point with a coordinate more or less, [],
+    a negative point, a point past the top, a point of the other dimension,
+    the top left out, the list emptied or made [[]], or no list at all),
+    and a conductor that is right, left out or malformed."""
+    base, top = rng.choice(_SMALL_BASES)
+    pts = [list(p) for p in base]
+    rng.shuffle(pts)
+    pts += rng.choices(pts, k=rng.randint(0, 3))
+    for _ in range(rng.randint(0, 3)):
+        i, defect, point = rng.randrange(len(pts) + 1), rng.randrange(11), list(rng.choice(base))
+        if defect == 0:
+            point[rng.randrange(len(point))] = rng.choice(_JUNK)
+        elif defect == 1:
+            point = rng.choice(_JUNK)
+        elif defect == 2:
+            point = point[:-1] if rng.random() < 0.5 else point + [0]
+        elif defect == 3:
+            point = []
+        elif defect == 4:
+            point = [rng.randint(-2, 0) for _ in top]
+        elif defect == 5:
+            point = [t + rng.randint(0, 2) for t in top]
+        elif defect == 6:
+            point = [0] * (5 - len(top))
+        elif defect == 7:
+            pts = [p for p in pts if p != list(top)]
+            continue
+        elif defect in (8, 9):
+            pts = [] if defect == 8 else [[]]
+            continue
+        else:
+            pts = rng.choice(({}, 3, "small", None))
+            break
+        pts.insert(i, point)
+    doc = {"kind": "small", "small": pts}
+    conductor = rng.choice((
+        list(top), None, list(top) + [0], [t - 1 for t in top], [t + 1 for t in top], [],
+        [list(top)], [float(t) for t in top], [True] * len(top), [-1] * len(top), "8,8", 8,
+    ))
+    if conductor is not None:
+        doc["conductor"] = conductor
+    return doc
+
+
+def _cli_outcome(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_small_documents_read_as_by_the_point_route():
+    # check and small print the same bytes and exit with the same code as
+    # when each point is tested and copied on its own and the small set is
+    # built from the sorted Points
+    rng, codes = random.Random(2100), set()
+    for _ in range(300):
+        text = json.dumps(_junk_small_document(rng))
+        for command in ("check", "small"):
+            got = _cli_outcome([command, "-"], text)
+            with mock.patch.object(cli, "_point_list", _point_list_by_items), \
+                    mock.patch.object(cli, "small_set", small_set_by_points):
+                assert got == _cli_outcome([command, "-"], text), text
+            assert "Traceback" not in got[2]
+            codes.add((command, got[0]))
+    assert codes == {(command, code) for command in ("check", "small") for code in (0, 1, 2)}
 
 
 def test_construct_summarizes_the_document(capsys, tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import inf
-from operator import add
+from operator import add, mul
 from unittest import mock
 
 import pytest
@@ -59,6 +59,7 @@ from _corpus import (
     meet_pair_scan,
     normalize_by_points,
     product_semigroup,
+    small_set_by_points,
     sum_pair_scan,
 )
 
@@ -112,16 +113,6 @@ def test_small_set_rejects_points_outside_its_box():
             SmallSet(pts, top)
 
 
-def _small_set_by_points(points, top=None):
-    """small_set by way of the sorted Points and the checks of SmallSet:
-    the reference for the checks and messages of small_set."""
-    pts = sorted(set(map(Point, points)))
-    if not pts:
-        raise ValueError("empty point set")
-    top = Point(max(x) for x in zip(*pts)) if top is None else Point(top)
-    return SmallSet(tuple(pts), top)
-
-
 def _outcome(build, *args):
     try:
         return build(*args)
@@ -147,7 +138,7 @@ def _raw_points(draw):
 def test_small_set_checks_match_the_point_route(case):
     # small_set builds rows directly, with the same results and errors
     pts, top = case
-    assert _outcome(small_set, pts, top) == _outcome(_small_set_by_points, pts, top)
+    assert _outcome(small_set, pts, top) == _outcome(small_set_by_points, pts, top)
 
 
 def test_small_set_is_held_by_its_rows(dup_example):
@@ -621,6 +612,31 @@ def test_product_test_at_full_slot_counts(last):
             assert semigroup._some_sum_missing(rows, top, addend_rows) == (got is not None)
             verdicts.add(got is None)
     assert verdicts == {True, False}
+
+
+def _padding_by_entries(top):
+    """_padding with one sum of products per table entry: the reference for
+    its tables."""
+    heads = top[:-1]
+    strides = semigroup._strides([2 * t + 1 for t in heads])
+    row_strides = semigroup._strides([t + 1 for t in heads])
+    padded = itertools.product(*(range(2 * t + 1) for t in heads))
+    clamp = [sum(map(mul, map(min, q, heads), row_strides)) for q in padded]
+    return strides, [sum(map(mul, p, strides)) for p in semigroup._prefixes(top)], clamp
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_padding_tables_and_rows_match_the_entrywise_routes(n):
+    # every top with sides 0 to 2, zero sides included, and random larger
+    # ones; the rows of random points read back as their sorted set
+    rng = random.Random(4400 + n)
+    tops = list(itertools.product(range(3), repeat=n))
+    tops += [tuple(rng.randint(0, 9 - 2 * n) for _ in range(n)) for _ in range(20)]
+    for top in tops:
+        assert semigroup._padding(top) == _padding_by_entries(top), top
+        pts = [tuple(rng.randint(0, t) for t in top) for _ in range(rng.randint(0, 12))]
+        rows = semigroup._rows(pts, top)
+        assert list(semigroup._row_tuples(rows, top)) == sorted(set(pts)), top
 
 
 def _zero_and_conductor_by_points(small):
