@@ -4,7 +4,11 @@ A set G generates S when the closure of G under truncated sums and meets
 equals Small(S).  Minimal systems of a local semigroup, and of a good ideal
 of one, are unique, so a candidate belongs to the minimal system exactly
 when it is not in the closure of all the other candidates: the rule is
-applied once per candidate, and no order of elimination can matter.
+applied once per candidate, and no order of elimination can matter.  The
+same uniqueness decides generation: a set G, clamped into [0, C(S)],
+generates S exactly when G lies in Small(S) and holds the minimal system M
+(every generating set holds a minimal one, and that one is M), and it is
+minimal exactly when it is M.
 
 Ideals use clamped membership, which below the corner min(H) + C(S) has a
 direct characterization: p belongs exactly when, for every axis i with p_i
@@ -23,7 +27,11 @@ h_j + F_i(p_i - h_i) >= p_j, F_i the fiber tops of the ambient
 with H_i the candidates' last points, read by the scan behind F_i
 (_last_points), the rule is p_j <= B_i(p_i) on every such axis, where
 B_i(u) = max(H_i(u) - 1, max over a < u of H_i(a) + F_i(u - a)).  The
-corner has no such axis and is removable beside any other candidate.
+corner has no such axis and is removable beside any other candidate.  The
+rule runs on bit rows, one mask per column x: its removable bits are those
+up to B_0(x) (all of them at x = corner_0) that are the bit corner_1 or a
+y with B_1(y) >= x, the y bucketed at min(B_1(y), corner_0) and ORed from
+the right.
 
 A local semigroup S is the ideal S minus {0} of S for this rule.  By the
 truncated-closure membership lemma, a is in the closure of G when on every
@@ -37,13 +45,13 @@ over sums is needed.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import inf
+from operator import or_
 
 from .errors import NonLocalError, NotAGeneratingSystem
 from .lattice import Point, meet
-from .semigroup import (
-    GoodSemigroup, _last_points, _require_dim2, _row_tuples, _rows, closure_small, is_local,
-)
+from .semigroup import GoodSemigroup, _last_points, _require_dim2, _row_points, _rows, is_local
 
 __all__ = [
     "is_minimal_system",
@@ -51,51 +59,60 @@ __all__ = [
     "minimal_ideal_generating_system",
 ]
 
+_NOT_GENERATING = "the closure of the given set does not reproduce the semigroup"
+
 
 def _generators(rows, corner, ambient: GoodSemigroup) -> list:
-    """The points of the bit rows of [0, corner], distinct candidates, that
-    lie outside the closure of the other candidates, in lexicographic
-    order, by the one rule of the module docstring."""
-    pts = list(_row_tuples(rows, corner))
-    if len(pts) < 2:
-        return pts  # the closure of nothing has no point
-    bounds = []  # per axis i, B_i(u) for each u below the corner holding a candidate
+    """The bit rows over [0, corner] of the candidates outside the closure
+    of the other candidates, by the one rule of the module docstring; the
+    candidates are the points of the bit rows `rows` of [0, corner]."""
+    if sum(map(int.bit_count, rows)) < 2:
+        return list(rows)  # the closure of nothing has no point
+    bounds = []  # per axis i, B_i(u) for u below the corner, then inf at it
     for i, last in enumerate(_last_points(rows, corner)):
         fiber = [ambient.small.fiber_top(i, u) for u in range(corner[i])]
-        held = [(u, h) for u, h in enumerate(last) if h > -inf]
-        bounds.append({
-            u: max([h - 1] + [g + fiber[u - a] for a, g in held if a < u])
-            for u, h in held if u < corner[i]
-        })
+        bound, held = [-inf] * corner[i] + [inf], []
+        for u, h in enumerate(last[: corner[i]]):
+            if h > -inf:  # held: the a < u that hold a candidate, with H_i(a)
+                bound[u] = max([h - 1] + [g + fiber[u - a] for a, g in held])
+                held.append((u, h))
+        bounds.append(bound)
+    buckets = [0] * (corner[0] + 1)  # bucket x: the y with min(B_1(y), corner_0) = x
+    for y, b in enumerate(bounds[1]):
+        if b >= 0:
+            buckets[min(b, corner[0])] |= 1 << y
+    above = list(accumulate(reversed(buckets), or_))[::-1]  # index x: the y with B_1(y) >= x
     return [
-        p for p in pts
-        if not all(p[1 - i] <= b[p[i]] for i, b in enumerate(bounds) if p[i] < corner[i])
+        r & ~(up & (-1 if b == inf else (1 << max(b + 1, 0)) - 1))
+        for r, b, up in zip(rows, bounds[0], above)
     ]
 
 
 def is_minimal_system(gens, s: GoodSemigroup) -> bool:
     """Whether gens is a good generating system of s with no removable element.
 
-    Raises NotAGeneratingSystem when the closure of gens does not reproduce
-    Small(s), and NonLocalError when s is not local (minimal systems are
-    only unique in the local case).
+    By the uniqueness of the minimal system M (module docstring): the
+    points of gens, clamped to the conductor, must be small elements of s
+    and include M, or NotAGeneratingSystem is raised, and they are minimal
+    exactly when they are M.  Raises NonLocalError when s is not local
+    (minimal systems are only unique in the local case), and
+    UnsupportedDimension for n != 2 once the points are small elements.
     """
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
     top = s.small.top
     cands = sorted(set(meet(Point(g), top) for g in gens))
-    live = [g for g in cands if any(g)]
-    # with only 0 given the closure still seeds the conductor, but nothing
-    # here actually produces it
-    if closure_small(cands, top) != s.small or not live and any(top):
-        raise NotAGeneratingSystem(
-            "the closure of the given set does not reproduce the semigroup"
-        )
-    if len(live) < len(cands):
-        return False  # contains 0, which is always removable
-    if live:
-        _require_dim2(s, "is_minimal_system")
-    return len(_generators(_rows(live, top), top, s)) == len(live)
+    for g in cands:
+        if min(g) < 0:
+            raise ValueError("generator %r has a negative coordinate" % (g,))
+    rows = _rows(cands, top)
+    if any(r & ~m for r, m in zip(rows, s.small.rows)):
+        raise NotAGeneratingSystem(_NOT_GENERATING)
+    _require_dim2(s, "is_minimal_system")
+    least = _rows(minimal_generating_system(s), top)
+    if any(m & ~r for r, m in zip(rows, least)):
+        raise NotAGeneratingSystem(_NOT_GENERATING)
+    return rows == least
 
 
 def minimal_generating_system(s: GoodSemigroup) -> tuple:
@@ -108,7 +125,7 @@ def minimal_generating_system(s: GoodSemigroup) -> tuple:
     rows[0] &= ~1  # the candidates: every small element but 0
     if any(rows):
         _require_dim2(s, "minimal_generating_system")
-    return tuple(map(Point, _generators(rows, s.small.top, s)))
+    return _row_points(_generators(rows, s.small.top, s), s.small.top)
 
 
 def minimal_ideal_generating_system(e) -> tuple:
@@ -123,4 +140,4 @@ def minimal_ideal_generating_system(e) -> tuple:
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local ambient")
     _require_dim2(s, "minimal_ideal_generating_system")
-    return tuple(map(Point, _generators(e.small.rows, e.small.top, s)))
+    return _row_points(_generators(e.small.rows, e.small.top, s), e.small.top)

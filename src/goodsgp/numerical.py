@@ -135,6 +135,9 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
 
     The data must describe an actual numerical semigroup: 0 present, closed
     under addition (checked up to the conductor), conductor minimal.
+    Closure takes one shifted bit test per member a: the members b >= a,
+    shifted up by a, must be members below the conductor; a failure names
+    the least such a, then the least b.
     """
     small = tuple(sorted(set(int(v) for v in small)))
     conductor = int(conductor)
@@ -149,10 +152,12 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
     def member(v):
         return v >= conductor or v in members
 
+    bits = sum(1 << v for v in small)
     for a in small:
-        for b in small:
-            if a <= b and not member(a + b):
-                raise ValueError("not closed under addition: %d + %d" % (a, b))
+        missing = (bits >> a << 2 * a) & ~bits & ((1 << conductor) - 1)
+        if missing:
+            b = (missing & -missing).bit_length() - 1 - a
+            raise ValueError("not closed under addition: %d + %d" % (a, b))
     if conductor > 0 and member(conductor - 1):
         raise ValueError("conductor %d is not minimal" % (conductor,))
     mult = small[1] if len(small) > 1 else conductor + 1

@@ -18,6 +18,8 @@ from operator import lt, or_
 
 from goodsgp import (
     ConstructionError,
+    NonLocalError,
+    NotAGeneratingSystem,
     NotGoodSemigroup,
     Point,
     SmallSet,
@@ -31,6 +33,7 @@ from goodsgp import (
     ideal_preimage_scale,
     is_local,
     join,
+    meet,
     normalize_conductor,
     ns_arf_closure,
     ns_contains,
@@ -656,6 +659,42 @@ def removable_by_candidates(cands, corner, ambient):
         )
         for p in cands
     ]
+
+
+def is_minimal_by_closure(gens, s):
+    """is_minimal_system by two routes: the truncated closure of the clamped
+    points decides generation, and the removal rule on them
+    (removable_by_candidates) minimality, with the special cases for a set
+    holding only 0 and one holding 0: the reference for the one route by
+    the uniqueness of the minimal system."""
+    if not is_local(s):
+        raise NonLocalError("minimal generating systems require a local semigroup")
+    top = s.small.top
+    cands = sorted(set(meet(Point(g), top) for g in gens))
+    live = [g for g in cands if any(g)]
+    # with only 0 given the closure still seeds the conductor, but nothing
+    # here actually produces it
+    if closure_small(cands, top) != s.small or not live and any(top):
+        raise NotAGeneratingSystem(
+            "the closure of the given set does not reproduce the semigroup"
+        )
+    if len(live) < len(cands):
+        return False  # contains 0, which is always removable
+    if live:
+        semigroup._require_dim2(s, "is_minimal_system")
+    return not any(removable_by_candidates([tuple(g) for g in live], top, s))
+
+
+def addition_pair_loop(small, conductor):
+    """The first pair a <= b of members whose sum lies below the conductor
+    outside the members, least a first, then least b, by the loop over all
+    pairs: the reference for the shifted bit test of ns_from_small."""
+    members = sorted(set(small))
+    for a in members:
+        for b in members:
+            if a <= b and a + b < conductor and a + b not in members:
+                return a, b
+    return None
 
 
 def small_set_by_points(points, top=None):

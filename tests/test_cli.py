@@ -299,6 +299,11 @@ def test_generating_systems_refuse_three_dimensions_by_name(capsys, tmp_path):
     # a set that does not generate is reported before the dimension matters
     code, out, _ = _run(capsys, ["is-mingens", doc, "--gens", "[[1,1,1]]"])
     assert code == 0 and json.loads(out)["generating"] is False
+    # among members, generation is decided by the minimal system, n = 2 only
+    for gens in ("[[1,1,3]]", "[]"):
+        code, out, err = _run(capsys, ["is-mingens", doc, "--gens", gens])
+        assert (code, out) == (3, "")
+        assert err == "error: is_minimal_system is implemented for n = 2 only\n"
     code, out, _ = _run(capsys, ["maximal", doc])
     assert (code, out) == (3, "")
 

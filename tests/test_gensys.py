@@ -25,11 +25,12 @@ from goodsgp import (
     tail_ideal,
     minimal_ideal_generating_system,
 )
+from goodsgp import semigroup
 
 import _data as data
 from _corpus import (
-    LADDER, corpus, ladder_duplication, membership_in_closure, monoid_fiber_reach,
-    removable_by_candidates, sequential_elimination, shuffled_eliminations,
+    LADDER, corpus, is_minimal_by_closure, ladder_duplication, membership_in_closure,
+    monoid_fiber_reach, removable_by_candidates, sequential_elimination, shuffled_eliminations,
 )
 
 
@@ -118,13 +119,25 @@ def _kept_by_candidates(pts, top, s):
                  if not out)
 
 
+_NOT_GENERATING = "the closure of the given set does not reproduce the semigroup"
+
+
+def _verdict(route, gens, s):
+    """route(gens, s), or the message of its NotAGeneratingSystem."""
+    try:
+        return route(gens, s)
+    except NotAGeneratingSystem as exc:
+        return str(exc)
+
+
 def test_generating_systems_match_the_candidate_scan_on_random_instances():
     # minimal systems of the corpus and the ladder, minimal systems of
     # their tails at the multiplicity, principal and canonical ideals, and
     # is_minimal_system on the minimal system, on it plus one redundant
-    # small element and on every nonzero small element
+    # small element and on every nonzero small element; and on sets that
+    # generate or not, against the route by the truncated closure
     rng = random.Random(2031)
-    verdicts = set()
+    verdicts, outcomes = set(), set()
     for s in corpus(514, 25, cap=13) + tuple(map(ladder_duplication, LADDER)):
         top = s.small.top
         nonzero = [p for p in s.small.points if any(p)]
@@ -144,7 +157,42 @@ def test_generating_systems_match_the_candidate_scan_on_random_instances():
             assert got == (not any(removable_by_candidates(sorted(gens), top, s)))
             assert got == (len(gens) == len(base))
             verdicts.add(got)
+        # against the route by the truncated closure, generating or not
+        outside = [p for p in itertools.product(range(top[0] + 1), range(top[1] + 1))
+                   if not s.small.contains(p)]
+        y = rng.randrange(top[1] + 1)
+        inputs = [[], [(0, 0)], list(base) + [(0, 0)], list(base) + [rng.choice(nonzero)],
+                  list(base) + [(top[0] + 1 + rng.randrange(4), y)],
+                  list(base) + [(top[0] + 3, top[1] + 5)]]
+        inputs += [[p for p in base if p != q] for q in base]
+        inputs += [rng.sample(nonzero, rng.randint(1, len(nonzero))) for _ in range(3)]
+        if outside:
+            inputs.append(list(base) + [rng.choice(outside)])
+        for gens in inputs:
+            got = _verdict(is_minimal_system, gens, s)
+            assert got == _verdict(is_minimal_by_closure, gens, s), gens
+            outcomes.add(got)
     assert verdicts == {True, False}
+    assert outcomes == {True, False, _NOT_GENERATING}
+
+
+def test_generation_is_decided_without_building_a_closure(monkeypatch):
+    # by the uniqueness of the minimal system, is_minimal_system compares
+    # bit rows with the minimal system and builds no truncated closure
+    s = ladder_duplication(55)
+    base = list(minimal_generating_system(s))
+    nonzero = [p for p in s.small.points if any(p)]
+    extra = next(p for p in nonzero if p not in base)
+
+    def refuse(gens, top):
+        raise AssertionError("a truncated closure was built")
+
+    monkeypatch.setattr(semigroup, "_sum_closure", refuse)
+    assert is_minimal_system(base, s) is True
+    assert is_minimal_system(base + [extra], s) is False
+    with pytest.raises(NotAGeneratingSystem):
+        is_minimal_system(base[1:], s)
+    assert is_minimal_system(nonzero, s) is False
 
 
 def test_monoid_fiber_reach():

@@ -20,7 +20,7 @@ from goodsgp import (
     ns_tail,
 )
 
-from _corpus import arf_fixpoint, arf_triple_scan
+from _corpus import addition_pair_loop, arf_fixpoint, arf_triple_scan
 
 
 def test_small_elements_of_reference_semigroups():
@@ -69,6 +69,26 @@ def test_from_small_rejects_bad_data():
         ns_from_small((0, 2, 3, 4), 4)  # conductor not minimal
     with pytest.raises(ValueError):
         ns_from_small((0, 2, 5), 5)  # 2 + 2 = 4 missing
+
+
+def test_closure_failures_name_the_pair_of_the_pair_loop():
+    rng = random.Random(4099)
+    named = 0
+    for _ in range(400):
+        c = rng.randint(1, 30)
+        small = [0, c] + rng.sample(range(1, c), rng.randint(0, c - 1))
+        pair = addition_pair_loop(small, c)
+        try:
+            ns_from_small(small, c)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        if pair is None:
+            assert message is None or not message.startswith("not closed"), small
+        else:
+            assert message == "not closed under addition: %d + %d" % pair, small
+            named += 1
+    assert named > 200
 
 
 def test_element_at_and_multiplicity():
