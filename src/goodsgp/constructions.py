@@ -21,7 +21,7 @@ semigroup.
 
 from __future__ import annotations
 
-from .errors import ConstructionError
+from .errors import ConstructionError, DimensionMismatch
 from .lattice import Point
 from .numerical import (
     NumericalIdeal,
@@ -140,13 +140,19 @@ def from_maximal_elements(
     maximal elements: pairs sharing a coordinate with a listed point and
     strictly exceeding it on the other axis are removed.
 
-    Whether the survivor set really is a good semigroup depends on the list;
-    validation raises NotGoodSemigroup when it is not.
+    A listed point of the wrong dimension raises DimensionMismatch and one
+    with a negative coordinate ValueError, before any point is tested
+    against the product; a point of N^2 outside it raises
+    ConstructionError.  Whether the survivor set really is a good semigroup
+    depends on the list; validation raises NotGoodSemigroup when it is not.
     """
     mpts = [Point(a) for a in maximals]
     for a in mpts:
         if a.dim != 2:
-            raise ConstructionError("maximal elements must be points of N^2")
+            raise DimensionMismatch("maximal elements must be points of N^2")
+        if min(a) < 0:
+            raise ValueError("listed point %s has a negative coordinate" % (tuple(a),))
+    for a in mpts:
         if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
             raise ConstructionError(
                 "listed point %s is outside the product" % (tuple(a),)

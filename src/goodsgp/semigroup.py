@@ -37,14 +37,17 @@ The members of a box, rays and cone included, are read off the rows too
   slots must lie in the target row.  The sum and absorption checks run it
   before naming a witness, and the Arf and stability tests
   (_tail_sum_closed) run it alone on the rows of a shifted tail.
-* The minima of the points of two rows A and B are the bits of A up to
-  B's highest bit and those of B up to A's (_row_meet), and they land in
-  the row at the meet of the two prefixes.  For n != 2 the meet check
-  tests every pair of rows by it, and the meet closure (_meet_closure)
-  ORs it in until no row grows.  For n = 2 each coordinate of an iterated
-  meet comes from one argument, so column x of the meet closure is the
-  union of the columns from x on, below the highest bit of column x, and
-  a set is meet closed exactly when that closure equals its rows.
+* A point p is a meet of points of a set X exactly when, on every axis i,
+  some point x >= p of X has x_i = p_i: the meet of those points is p,
+  and each argument of a meet lies above it and gives it one coordinate.
+  So the row at prefix p' of the meet closure (_meet_closure) is the OR
+  of the rows at prefixes q' >= p', up to the least, over the prefix axes
+  i, of the highest bits of the rows at q' >= p' with q_i = p_i: running
+  ORs and maxima back along the prefix axes, one pass in every dimension.
+  For n = 2, column x is the union of the columns from x on, below the
+  highest bit of column x.  A set is meet closed exactly when its closure
+  equals its rows; only when it is not does the meet check pair rows, to
+  name the first failing pair.
 * For n = 2 the witness check reads, per column, the OR of the columns
   right of it: a point below the column's highest bit fails on axis 0
   when the OR lacks it, and the highest bit, below the top, fails on axis
@@ -201,9 +204,8 @@ def small_set(points, top=None) -> SmallSet:
     sorted Points, which names the first offender.
     """
     pts = list(points)
-    axes = list(zip(*pts)) if set(map(type, pts)) <= _SEQUENCES else []
-    ints = set(map(type, itertools.chain(*axes))) == {int}
-    if ints and set(map(len, pts)) == {len(axes)}:
+    axes = _int_axes(pts)
+    if axes:
         box = Point(map(max, axes) if top is None else top)
         if len(box) == len(axes) and min(map(min, axes)) >= 0 and all(map(le, map(max, axes), box)):
             rows = _rows(pts, box)
@@ -257,8 +259,17 @@ class GoodSemigroup:
         return gs_contains(self, p)
 
 
-_SEQUENCES = {list, tuple, Point}  # the point types small_set reads by axis
+_SEQUENCES = {list, tuple, Point}  # the point types _int_axes reads by axis
 _head = itemgetter(slice(-1))  # a point's prefix: all but its last coordinate
+
+
+def _int_axes(pts):
+    """The coordinates of the points pts, a list, by axis (zip), when they
+    are lists, tuples or Points of ints of one length; None otherwise."""
+    axes = list(zip(*pts)) if set(map(type, pts)) <= _SEQUENCES else []
+    if set(map(type, itertools.chain(*axes))) == {int} and set(map(len, pts)) == {len(axes)}:
+        return axes
+    return None
 
 
 def _prefixes(top):
@@ -403,49 +414,40 @@ def _sum_closure(gens, top) -> list:
     return rows
 
 
-def _row_meet(a, b) -> int:
-    """The last coordinates of the componentwise minima of the points of
-    two nonempty bit rows a and b: min(x, y) is x for the bits x of a up to
-    b's highest bit, and y for the bits y of b up to a's.  The minima land
-    in the row at the meet of the two rows' prefixes."""
-    return a & ((1 << b.bit_length()) - 1) | b & ((1 << a.bit_length()) - 1)
-
-
-def _meet_target(top):
-    """The index of the bit row of [0, top] at the meet of two prefixes."""
-    strides = _strides([t + 1 for t in top[:-1]])
-    return lambda p, q: sum(map(mul, map(min, p, q), strides))
+def _run_back(table, sides, axis, op):
+    """Fold op, in place, over each line along axis of a row-major table of
+    the box with the given side lengths, from the line's end back: each
+    entry becomes op of the entries from it to that end."""
+    step = prod(sides[axis + 1 :])
+    block = step * sides[axis]
+    for start in range(0, len(table), block):
+        for first in range(start, start + step):
+            line = slice(first, start + block, step)
+            table[line] = list(itertools.accumulate(reversed(table[line]), op))[::-1]
 
 
 def _meet_closure(rows, top) -> list:
     """The bit rows of the closure of the bit rows of [0, top] under
-    componentwise minima.
+    componentwise minima, in one pass (see the module docstring).
 
-    For n = 2, one right to left pass (see the module docstring).  In other
-    dimensions the minima of each pair of nonempty rows (_row_meet) are ORed
-    into the row at the meet of their prefixes; a row that grows is paired
-    again with every nonempty row, until none grows.
+    Row p' of the closure is U(p'), the OR of the rows at prefixes q' >= p',
+    up to bit min_i H_i(p'), where H_i(p') is the highest bit of the rows at
+    prefixes q' >= p' with q_i = p_i.  U is a running OR back along every
+    prefix axis, and H_i, from the rows' highest bits, a running max back
+    along every prefix axis but i.  For n = 1 there is no prefix axis, and
+    the closure is the rows.
     """
-    if len(top) == 2:
-        out, union = [], 0
-        for r in reversed(rows):
-            union |= r
-            out.append(union & ((1 << r.bit_length()) - 1))
-        return out[::-1]
-    rows, heads, target = list(rows), list(_prefixes(top)), _meet_target(top)
-    work = [i for i, r in enumerate(rows) if r]
-    while work:
-        i = work.pop()
-        for j, b in enumerate(rows):
-            if not b:
-                continue
-            t = target(heads[i], heads[j])
-            new = _row_meet(rows[i], b) & ~rows[t]
-            if new:
-                rows[t] |= new
-                if t not in work:
-                    work.append(t)
-    return rows
+    sides = [t + 1 for t in top[:-1]]
+    out = list(rows)
+    for i in range(len(sides)):
+        _run_back(out, sides, i, or_)
+    for i in range(len(sides)):
+        high = list(map(int.bit_length, rows))
+        for j in range(len(sides)):
+            if j != i:
+                _run_back(high, sides, j, max)
+        out = [u & ((1 << h) - 1) for u, h in zip(out, high)]
+    return out
 
 
 def closure_small(gens, conductor) -> SmallSet:
@@ -644,53 +646,50 @@ def _meet_violation(a, b) -> Violation:
     return Violation("meet", (a, b), None, "componentwise minimum is missing")
 
 
+def _failing(a, b, t) -> int:
+    """The bits x of row a whose minimum with some bit y of row b is missing
+    from row t: x itself, when x is missing from t and at most b's highest
+    bit, and the lowest bit y of b missing from t, when x lies above it."""
+    miss = b & ~t
+    return a & (~t & ((1 << b.bit_length()) - 1) | -((miss & -miss) << 1))
+
+
 def _meet_violations(small: SmallSet) -> list:
     """The first pair of points whose componentwise minimum is missing, in
     the order of the scan over all ordered pairs of points.
 
-    That scan reports the lexicographically first failing a, then its first
-    failing partner b.  For n = 2 the set is meet closed exactly when its
-    meet closure equals its rows, and a partner left of a would fail with a
-    earlier, so a lies in the first column a_0 the closure gains bits in:
-    a_1 is its lowest point above the lowest gained bit, and b the first
-    point right of a on a gained bit below a_1.
-
-    Otherwise every pair of nonempty rows A, B must have its minima
-    (_row_meet) in the row T at the meet of their prefixes.  A bit of A
-    fails against B when it is missing from T and at most B's highest bit,
-    or above the lowest bit of B missing from T, so the set is meet closed
-    exactly when no row has a failing bit.  a is the lowest failing bit of
-    the first row that has one, and b the first point whose minimum with a
-    is missing.
+    The set is meet closed exactly when its meet closure (_meet_closure)
+    equals its rows.  Otherwise the scan reports the lexicographically
+    first failing a, then its first failing partner b.  A missing minimum
+    of points at prefixes p and q is a point of the closure, in the row at
+    the meet of p and q, so that row gained bits, and p lies at or above a
+    gained prefix.  So the rows before the first gained prefix are skipped,
+    and a row is tested only against the partner rows whose meet row with
+    it gained bits, by one mask (_failing): a is the lowest failing bit of
+    the first row that has one, and b the lowest bit failing against a of
+    the first row that has one.
     """
     rows, top = small.rows, small.top
-    if len(top) == 2:
-        for a0, (r, c) in enumerate(zip(rows, _meet_closure(rows, top))):
-            if r == c:
-                continue
-            gained = c & ~r
-            low = _low_bit(gained)
-            a1 = _low_bit(r >> low << low)
-            below = gained & ((1 << a1) - 1)
-            b0 = next(x for x in range(a0 + 1, len(rows)) if rows[x] & below)
-            b1 = _low_bit(rows[b0] & below)
-            return [_meet_violation(Point((a0, a1)), Point((b0, b1)))]
+    closed = _meet_closure(rows, top)
+    if tuple(closed) == rows:
         return []
-    target = _meet_target(top)
-    full = [(p, r) for p, r in zip(_prefixes(top), rows) if r]
+    strides = _strides([t + 1 for t in top[:-1]])
+    first = next(p for p, c, r in zip(_prefixes(top), closed, rows) if c != r)
+    full = [(q, b) for q, b in zip(_prefixes(top), rows) if b]
     for p, a in full:
+        if p < first:
+            continue  # no prefix at or below p gained bits
+        meets = [(q, b, sum(map(mul, map(min, p, q), strides))) for q, b in full]
         bad = 0
-        for q, b in full:
-            t = rows[target(p, q)]
-            bad |= a & ~t & ((1 << b.bit_length()) - 1)
-            if b & ~t:
-                low = _low_bit(b & ~t) + 1
-                bad |= a >> low << low
+        for _, b, t in meets:
+            if closed[t] != rows[t]:
+                bad |= _failing(a, b, rows[t])
         if bad:
-            a = Point(p + (_low_bit(bad),))
-            b = next(b for b in _row_tuples(rows, top) if not small.contains(tuple(map(min, a, b))))
-            return [_meet_violation(a, Point(b))]
-    return []
+            x = _low_bit(bad)
+            for q, b, t in meets:
+                miss = _failing(b, 1 << x, rows[t])
+                if miss:
+                    return [_meet_violation(Point(p + (x,)), Point(q + (_low_bit(miss),)))]
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bytes 0 and 1

@@ -18,6 +18,7 @@ from operator import lt, or_
 
 from goodsgp import (
     ConstructionError,
+    DimensionMismatch,
     NonLocalError,
     NotAGeneratingSystem,
     NotGoodSemigroup,
@@ -229,7 +230,10 @@ def _from_maximal_elements_by_membership(s1, s2, maximals):
     mpts = [Point(a) for a in maximals]
     for a in mpts:
         if a.dim != 2:
-            raise ConstructionError("maximal elements must be points of N^2")
+            raise DimensionMismatch("maximal elements must be points of N^2")
+        if min(a) < 0:
+            raise ValueError("listed point %s has a negative coordinate" % (tuple(a),))
+    for a in mpts:
         if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
             raise ConstructionError(
                 "listed point %s is outside the product" % (tuple(a),)

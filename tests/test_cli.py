@@ -526,14 +526,29 @@ def test_the_readme_lists_every_subcommand():
             ["is-mingens", "--gens", "[[2, 2], [-1, 3]]"],
             {"kind": "duplication", "semigroup": [2, 3], "ideal": [6]},
         ),
+        (
+            ["maximal"],
+            {"kind": "maximal", "left": [4, 6, 13], "right": [2, 3],
+             "maximal": [[0, 0], [4, 2, 1]]},
+        ),
+        (
+            ["maximal"],
+            {"kind": "maximal", "left": [4, 6, 13], "right": [2, 3], "maximal": [[-4, 2]]},
+        ),
+        (
+            ["maximal"],
+            {"kind": "maximal", "left": [4, 6, 13], "right": [2, 3],
+             "maximal": [[5, 2], [0, 0, 0]]},
+        ),
     ],
-    ids=["negative-conductor", "generator-dimension", "negative-gens-point"],
+    ids=["negative-conductor", "generator-dimension", "negative-gens-point",
+         "maximal-dimension", "maximal-negative", "maximal-dimension-after-off-product"],
 )
 def test_argument_domain_errors_exit_two(capsys, tmp_path, argv, doc):
     path = _write(tmp_path, "doc.json", doc)
     code, out, err = _run(capsys, [argv[0], path] + argv[1:])
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert out == ""
 
 

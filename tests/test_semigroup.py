@@ -446,6 +446,7 @@ def _thinned_semigroups(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=500)
 @given(st.one_of(
     _boxed_subsets(),
+    _boxed_subsets(dim=1),
     _boxed_subsets(side=3, dim=3),
     _boxed_subsets(side=4, dim=3),
     _boxed_subsets(side=2, dim=4),
@@ -714,14 +715,15 @@ def test_conductor_slabs_match_the_membership_scan():
 @given(st.one_of(
     _boxed_subsets(),
     _thinned_semigroups(),
+    _boxed_subsets(dim=1),
     _boxed_subsets(side=3, dim=3),
     _boxed_subsets(side=2, dim=4),
 ))
 def test_meet_closure_matches_the_pairwise_fixpoint(small):
-    # N^2 by the right to left pass, N^3 and N^4 by the row kernel's
-    # fixpoint; a set of N^2 lifted into N^3 goes through the fixpoint too
+    # N^1 to N^4 by the one pass of running ORs and maxima; a set of N^1 or
+    # N^2 lifted by a zero first axis goes through it with one more axis
     cases = [small]
-    if small.dim == 2:
+    if small.dim < 3:
         cases.append(small_set([(0,) + tuple(p) for p in small.points], (0,) + tuple(small.top)))
     for s in cases:
         closed = semigroup._meet_closure(s.rows, s.top)
