@@ -45,21 +45,13 @@ over sums is needed.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import inf
 from operator import or_
 
 from .errors import NonLocalError, NotAGeneratingSystem
 from .lattice import Point, meet
-from .semigroup import (
-    GoodSemigroup,
-    _int_axes,
-    _last_points,
-    _require_dim2,
-    _row_points,
-    _rows,
-    is_local,
-)
+from .semigroup import GoodSemigroup, _last_points, _require_dim2, _row_points, _rows, is_local
 
 __all__ = [
     "is_minimal_system",
@@ -108,16 +100,12 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
     """
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
-    top, pts = s.small.top, list(gens)
-    axes = _int_axes(pts)
-    if axes and len(axes) == len(top) and min(map(min, axes)) >= 0:
-        rows = _rows(list(zip(*(map(min, a, repeat(t)) for a, t in zip(axes, top)))), top)
-    else:  # Points name the first offender, if any
-        cands = sorted(set(meet(Point(g), top) for g in pts))
-        for g in cands:
-            if min(g) < 0:
-                raise ValueError("generator %r has a negative coordinate" % (g,))
-        rows = _rows(cands, top)
+    top = s.small.top
+    cands = sorted(set(meet(Point(g), top) for g in gens))
+    for g in cands:
+        if min(g) < 0:
+            raise ValueError("generator %r has a negative coordinate" % (g,))
+    rows = _rows(cands, top)
     if any(r & ~m for r, m in zip(rows, s.small.rows)):
         raise NotAGeneratingSystem(_NOT_GENERATING)
     _require_dim2(s, "is_minimal_system")

@@ -204,8 +204,9 @@ def small_set(points, top=None) -> SmallSet:
     sorted Points, which names the first offender.
     """
     pts = list(points)
-    axes = _int_axes(pts)
-    if axes:
+    axes = list(zip(*pts)) if set(map(type, pts)) <= _SEQUENCES else []
+    ints = set(map(type, itertools.chain(*axes))) == {int}
+    if ints and set(map(len, pts)) == {len(axes)}:
         box = Point(map(max, axes) if top is None else top)
         if len(box) == len(axes) and min(map(min, axes)) >= 0 and all(map(le, map(max, axes), box)):
             rows = _rows(pts, box)
@@ -259,17 +260,8 @@ class GoodSemigroup:
         return gs_contains(self, p)
 
 
-_SEQUENCES = {list, tuple, Point}  # the point types _int_axes reads by axis
+_SEQUENCES = {list, tuple, Point}  # the point types small_set reads by axis
 _head = itemgetter(slice(-1))  # a point's prefix: all but its last coordinate
-
-
-def _int_axes(pts):
-    """The coordinates of the points pts, a list, by axis (zip), when they
-    are lists, tuples or Points of ints of one length; None otherwise."""
-    axes = list(zip(*pts)) if set(map(type, pts)) <= _SEQUENCES else []
-    if set(map(type, itertools.chain(*axes))) == {int} and set(map(len, pts)) == {len(axes)}:
-        return axes
-    return None
 
 
 def _prefixes(top):
@@ -690,6 +682,7 @@ def _meet_violations(small: SmallSet) -> list:
                 miss = _failing(b, 1 << x, rows[t])
                 if miss:
                     return [_meet_violation(Point(p + (x,)), Point(q + (_low_bit(miss),)))]
+    raise AssertionError("the meet closure gained bits but no row pair fails")
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bytes 0 and 1

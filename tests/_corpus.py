@@ -231,8 +231,6 @@ def _from_maximal_elements_by_membership(s1, s2, maximals):
     for a in mpts:
         if a.dim != 2:
             raise DimensionMismatch("maximal elements must be points of N^2")
-        if min(a) < 0:
-            raise ValueError("listed point %s has a negative coordinate" % (tuple(a),))
     for a in mpts:
         if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
             raise ConstructionError(
