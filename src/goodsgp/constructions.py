@@ -21,7 +21,7 @@ semigroup.
 
 from __future__ import annotations
 
-from .errors import ConstructionError, DimensionMismatch
+from .errors import ConstructionError
 from .lattice import Point
 from .numerical import (
     NumericalIdeal,
@@ -33,6 +33,7 @@ from .numerical import (
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
+    _checked_points,
     good_semigroup,
     normalize_conductor,
 )
@@ -119,7 +120,7 @@ def amalgamation(
     for x in range(t0 + 1):
         kx, col = k * x, 0
         if ns_contains(s, x):  # (x, k*x), and (x, y) for y < k*x in e
-            col = E & (1 << kx) - 1 | (1 << kx if kx <= t1 else 0)
+            col = E & (1 << min(kx, t1 + 1)) - 1 | (1 << kx if kx <= t1 else 0)
         if ideal_contains(ginv, x):  # E' x e, and (x, k*u) for u >= x in s
             col |= E | K >> kx << kx
         cols.append(col)
@@ -146,12 +147,7 @@ def from_maximal_elements(
     ConstructionError.  Whether the survivor set really is a good semigroup
     depends on the list; validation raises NotGoodSemigroup when it is not.
     """
-    mpts = [Point(a) for a in maximals]
-    for a in mpts:
-        if a.dim != 2:
-            raise DimensionMismatch("maximal elements must be points of N^2")
-        if min(a) < 0:
-            raise ValueError("listed point %s has a negative coordinate" % (tuple(a),))
+    mpts = _checked_points(maximals, 2, "listed point")
     for a in mpts:
         if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
             raise ConstructionError(

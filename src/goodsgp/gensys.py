@@ -50,8 +50,8 @@ from math import inf
 from operator import or_
 
 from .errors import NonLocalError, NotAGeneratingSystem
-from .lattice import Point, meet
-from .semigroup import GoodSemigroup, _last_points, _require_dim2, _row_points, _rows, is_local
+from .semigroup import (GoodSemigroup, _checked_points, _last_points, _require_dim2,
+                        _row_points, _rows, is_local)
 
 __all__ = [
     "is_minimal_system",
@@ -92,20 +92,17 @@ def is_minimal_system(gens, s: GoodSemigroup) -> bool:
     """Whether gens is a good generating system of s with no removable element.
 
     By the uniqueness of the minimal system M (module docstring): the
-    points of gens, clamped to the conductor, must be small elements of s
-    and include M, or NotAGeneratingSystem is raised, and they are minimal
-    exactly when they are M.  Raises NonLocalError when s is not local
-    (minimal systems are only unique in the local case), and
-    UnsupportedDimension for n != 2 once the points are small elements.
+    points of gens, read by _checked_points and clamped to the conductor by
+    their bit rows (_rows), must be small elements of s and include M, or
+    NotAGeneratingSystem is raised, and they are minimal exactly when they
+    are M.  Raises NonLocalError when s is not local (minimal systems are
+    only unique in the local case), and UnsupportedDimension for n != 2
+    once the points are small elements.
     """
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
     top = s.small.top
-    cands = sorted(set(meet(Point(g), top) for g in gens))
-    for g in cands:
-        if min(g) < 0:
-            raise ValueError("generator %r has a negative coordinate" % (g,))
-    rows = _rows(cands, top)
+    rows = _rows(_checked_points(gens, s.dim, "generator"), top)
     if any(r & ~m for r, m in zip(rows, s.small.rows)):
         raise NotAGeneratingSystem(_NOT_GENERATING)
     _require_dim2(s, "is_minimal_system")

@@ -57,13 +57,14 @@ from .errors import (
     NonLocalError,
     NotGoodIdeal,
 )
-from .lattice import Point, join, meet, ones
+from .lattice import Point, join, ones
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
     ValidationReport,
     Violation,
     _box_rows,
+    _checked_points,
     _conductor_violations,
     _coordinate_witness_violations,
     _first_missing_sum,
@@ -184,8 +185,8 @@ def good_ideal(ambient: GoodSemigroup, small: SmallSet) -> GoodRelativeIdeal:
 
 
 def gi_contains(e: GoodRelativeIdeal, p) -> bool:
-    """Membership of an integer point in the ideal."""
-    return e.small.contains(tuple(p))
+    """Membership of an integer point in the ideal, read by Point."""
+    return e.small.contains(Point(p))
 
 
 def _clamped_sum_ideal(s: GoodSemigroup, rows, top, other: SmallSet, corner):
@@ -258,19 +259,13 @@ def gi_from_generators(s: GoodSemigroup, hgens) -> GoodRelativeIdeal:
     shared coordinate witness, when a fiber of the closure stops below the
     corner), in which case NotGoodIdeal carries the report.
     """
-    gens = [Point(h) for h in hgens]
+    gens = _checked_points(hgens, s.dim, "generator")
     if not gens:
         raise ValueError("at least one generator is required")
-    for h in gens:
-        if h.dim != s.dim:
-            raise DimensionMismatch("generator %r vs ambient dimension %d" % (h, s.dim))
-        if any(x < 0 for x in h):
-            raise ValueError("generator %r has a negative coordinate" % (h,))
-    corner = reduce(meet, gens) + s.small.top
+    corner = Point(map(min, zip(*gens))) + s.small.top
     # with the corner as top, a generator clamped onto the corner's line
     # takes a ray, but every translate along it clamps back onto the line
-    clamped = [tuple(map(min, h, corner)) for h in gens]
-    return _clamped_sum_ideal(s, _rows(clamped, corner), corner, s.small, corner)
+    return _clamped_sum_ideal(s, _rows(gens, corner), corner, s.small, corner)
 
 
 def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:

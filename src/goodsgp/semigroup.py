@@ -23,6 +23,9 @@ points an invariant returns, and the witness pair scan for n != 2.
 The members of a box, rays and cone included, are read off the rows too
 (_box_rows), by the tail, sum, absorption, subset and saturation routines.
 
+Every point list a caller passes is read by _checked_points and clamped
+only by _rows, which sets the bits of min(p, top).
+
 * Membership (SmallSet.contains) is one bit of the rows: bit min(p_n, C_n)
   of the row at min(p', C'), primes dropping the last coordinate.
 * min(a + b, C) for all b of the row at prefix p is that row shifted up by
@@ -113,38 +116,32 @@ class SmallSet:
     n - 1 coordinates of [0, top], in itertools.product order, the int with
     bit y set exactly when (p, y) is a point; for n = 2, one int per x in
     [0, top_0].  Equality and hashing read the rows and top.  points, the
-    sorted tuple of Points, is derived from the rows on first read; a set
-    built from points keeps the tuple it was given.
+    sorted tuple of Points, is derived from the rows on first read.
 
-    SmallSet(points, top) checks the type level invariants: points are
-    strictly increasing (so deduplicated and lexicographically sorted),
-    within [0, top], of equal dimension, and top itself is present.
-    Whether the set actually describes a good semigroup (or a good ideal)
-    is decided by the validators, not here.
+    SmallSet(points, top) reads the points by _checked_points and checks
+    the type level invariants: points are strictly increasing (so
+    deduplicated and lexicographically sorted), within [0, top], and top
+    itself is present.  Whether the set actually describes a good semigroup
+    (or a good ideal) is decided by the validators, not here.
     """
 
     rows: tuple
     top: Point
 
     def __init__(self, points, top):
-        points = tuple(points)
+        points = _checked_points(points, top.dim, "point")
         if not points:
             raise ValueError("empty point set")
-        n = top.dim
-        for p in points:
-            if p.dim != n:
-                raise DimensionMismatch("point %r vs top %r" % (p, top))
-            if any(x < 0 for x in p):
-                raise ValueError("point %r has a negative coordinate" % (p,))
+        keys = list(map(tuple, points))
+        for p in keys:
             if any(x > t for x, t in zip(p, top)):
-                raise ValueError("point %r exceeds the top %r" % (p, top))
-        if not all(map(lt, points, points[1:])):
+                raise ValueError("point %s exceeds the top %s" % (p, tuple(top)))
+        if not all(map(lt, keys, keys[1:])):
             raise ValueError("points are not strictly increasing")
-        if points[-1] != top:
-            raise ValueError("top %r is not in the point set" % (top,))
+        if keys[-1] != top:
+            raise ValueError("top %s is not in the point set" % (tuple(top),))
         object.__setattr__(self, "rows", tuple(_rows(points, top)))
         object.__setattr__(self, "top", top)
-        self.__dict__["points"] = points
 
     @classmethod
     def _of_rows(cls, rows, top) -> SmallSet:
@@ -197,18 +194,17 @@ def small_set(points, top=None) -> SmallSet:
 
     Points may come in any order and repeat.  With top omitted, the
     componentwise maximum of the points is used; it must itself be one of
-    the points.  Lists, tuples or Points of ints are read by axis (zip):
-    maps over the points and the axes check the types, the dimension, the
-    signs and the bounds, one pass over the points sets their bits (_rows),
-    and the top's bit is read back.  Other data, and data failing a check, goes through SmallSet as
-    sorted Points, which names the first offender.
+    the points.  Data that passes _int_axes within the top has its bits set
+    in one pass (_rows), and the top's bit is read back.  Other data, and
+    data failing a check, goes through SmallSet as sorted Points, which
+    names the first offender.
     """
     pts = list(points)
-    axes = list(zip(*pts)) if set(map(type, pts)) <= _SEQUENCES else []
-    ints = set(map(type, itertools.chain(*axes))) == {int}
-    if ints and set(map(len, pts)) == {len(axes)}:
+    n = len(pts[0]) if pts and type(pts[0]) in _SEQUENCES else 0
+    axes = _int_axes(pts, n)
+    if axes:
         box = Point(map(max, axes) if top is None else top)
-        if len(box) == len(axes) and min(map(min, axes)) >= 0 and all(map(le, map(max, axes), box)):
+        if len(box) == n and all(map(le, map(max, axes), box)):
             rows = _rows(pts, box)
             if rows[-1] >> box[-1] & 1:
                 return SmallSet._of_rows(rows, box)
@@ -260,8 +256,37 @@ class GoodSemigroup:
         return gs_contains(self, p)
 
 
-_SEQUENCES = {list, tuple, Point}  # the point types small_set reads by axis
+_SEQUENCES = {list, tuple, Point}  # the point types read by axis (_int_axes)
 _head = itemgetter(slice(-1))  # a point's prefix: all but its last coordinate
+
+
+def _int_axes(pts, n):
+    """The axes (zip) of pts when they are lists, tuples or Points of n int
+    coordinates each, none negative, else None; tested by maps."""
+    if set(map(type, pts)) <= _SEQUENCES and set(map(len, pts)) <= {n}:
+        axes = list(zip(*pts))
+        if set(map(type, itertools.chain(*axes))) <= {int} and min(map(min, axes), default=0) >= 0:
+            return axes
+    return None
+
+
+def _checked_points(points, n, noun) -> list:
+    """The points of N^n in points, as a list in the order received: as
+    they are when they pass _int_axes, else converted by Point one at a
+    time, the first offender named: DimensionMismatch for a wrong
+    dimension, ValueError for a negative coordinate."""
+    pts = list(points)
+    if _int_axes(pts, n) is not None:
+        return pts
+    out = []
+    for p in map(Point, pts):
+        if len(p) != n:
+            raise DimensionMismatch(
+                "%s %s has %d coordinates, not %d" % (noun, tuple(p), len(p), n))
+        if min(p) < 0:
+            raise ValueError("%s %s has a negative coordinate" % (noun, tuple(p)))
+        out.append(p)
+    return out
 
 
 def _prefixes(top):
@@ -275,13 +300,14 @@ def _strides(sides) -> list:
 
 
 def _rows(points, top) -> list:
-    """The bit rows of points inside [0, top] (see SmallSet.rows), in any
-    order: the row index of a point is its last prefix coordinate plus the
-    others times their strides, summed axis by axis over zip(*points), and
-    one pass over the points sets their bits."""
+    """The bit rows of min(p, top) over the points p, in any order (see
+    SmallSet.rows): an axis of zip(*points) past top's is clamped, the row
+    index of a point is its last prefix coordinate plus the others times
+    their strides, summed axis by axis, and one pass sets the bits."""
     sides = [max(t + 1, 0) for t in top[:-1]]
     rows = [0] * prod(sides)
-    axes = list(zip(*points))
+    axes = [a if max(a) <= t else map(min, a, itertools.repeat(t))
+            for a, t in zip(zip(*points), top)]
     if axes:
         *heads, last = axes
         index = heads.pop() if heads else itertools.repeat(0)  # the last stride is 1
@@ -445,26 +471,19 @@ def _meet_closure(rows, top) -> list:
 def closure_small(gens, conductor) -> SmallSet:
     """Truncated closure of the generators under sums and meets.
 
-    The least set holding {0, C} and the truncated generators and closed
-    under min(a + b, C) and min(a, b).  Truncated sums distribute over
-    meets, so it is the meet closure (_meet_closure) of the sum closure
-    (_sum_closure).  The result is the small element candidate set of the
+    The least set holding {0, C} and the generators clamped by their bit
+    rows (_rows) and closed under min(a + b, C) and min(a, b).  Truncated
+    sums distribute over meets, so it is the meet closure (_meet_closure)
+    of the sum closure (_sum_closure) of the clamped generators read back
+    off those rows.  The result is the small element candidate set of the
     least good semigroup containing the generators when one exists;
     validation decides that separately.
     """
     top = Point(conductor)
-    n = top.dim
     if any(t < 0 for t in top):
         raise ValueError("conductor must be in N^n")
-    clamped = []
-    for g in gens:
-        g = Point(g)
-        if g.dim != n:
-            raise DimensionMismatch("generator %r vs conductor %r" % (g, top))
-        if any(x < 0 for x in g):
-            raise ValueError("generator %r has a negative coordinate" % (g,))
-        clamped.append(tuple(map(min, g, top)))
-    rows = _sum_closure(clamped, top)
+    clamped = _rows(_checked_points(gens, top.dim, "generator"), top)
+    rows = _sum_closure(_row_tuples(clamped, top), top)
     rows[-1] |= 1 << top[-1]
     return SmallSet._of_rows(_meet_closure(rows, top), top)
 
@@ -868,7 +887,7 @@ def gs_from_generators(gens, conductor) -> GoodSemigroup:
 
 
 def gs_contains(s: GoodSemigroup, p) -> bool:
-    """Membership of an integer point in the semigroup."""
+    """Membership of an integer point in the semigroup, read by Point."""
     return s.small.contains(Point(p))
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
-from math import inf
+from math import inf, prod
 from operator import lt, or_
 
 from goodsgp import (
@@ -227,10 +227,7 @@ def _from_maximal_elements_by_membership(s1, s2, maximals):
     Whether the survivor set really is a good semigroup depends on the list;
     validation raises NotGoodSemigroup when it is not.
     """
-    mpts = [Point(a) for a in maximals]
-    for a in mpts:
-        if a.dim != 2:
-            raise DimensionMismatch("maximal elements must be points of N^2")
+    mpts = points_by_items(maximals, 2, "listed point")
     for a in mpts:
         if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
             raise ConstructionError(
@@ -699,6 +696,56 @@ def addition_pair_loop(small, conductor):
     return None
 
 
+# The point-list readers as the per-point route they replaced: each point
+# converted with Point and checked in the order received (lexicographic
+# order for small_set), and clamped with meet; the reference for
+# semigroup._checked_points and for the clamp of semigroup._rows.
+
+
+def points_by_items(points, n, noun):
+    """The points as Points, each checked as it is converted: the reference
+    for the checks and messages of semigroup._checked_points."""
+    out = []
+    for p in points:
+        p = Point(p)
+        if p.dim != n:
+            raise DimensionMismatch("%s %s has %d coordinates, not %d" % (noun, tuple(p), p.dim, n))
+        if min(p) < 0:
+            raise ValueError("%s %s has a negative coordinate" % (noun, tuple(p)))
+        out.append(p)
+    return out
+
+
+def rows_by_points(points, top):
+    """The bit rows over [0, top] of the points clamped with meet, one
+    point at a time: the reference for the clamp of semigroup._rows."""
+    top = Point(top)
+    rows = [0] * prod(t + 1 for t in top[:-1])
+    for p in points:
+        *head, y = meet(Point(p), top)
+        i = 0
+        for x, t in zip(head, top):
+            i = i * (t + 1) + x
+        rows[i] |= 1 << y
+    return rows
+
+
+def small_set_points_by_items(points, top):
+    """SmallSet(points, top) with the points read per item and the order
+    and top checked on the points."""
+    points = points_by_items(points, top.dim, "point")
+    if not points:
+        raise ValueError("empty point set")
+    for p in points:
+        if any(x > t for x, t in zip(p, top)):
+            raise ValueError("point %s exceeds the top %s" % (tuple(p), tuple(top)))
+    if not all(map(lt, points, points[1:])):
+        raise ValueError("points are not strictly increasing")
+    if points[-1] != top:
+        raise ValueError("top %s is not in the point set" % (tuple(top),))
+    return SmallSet._of_rows(rows_by_points(points, top), top)
+
+
 def small_set_by_points(points, top=None):
     """small_set by way of the sorted Points and the checks of SmallSet:
     the reference for the checks and messages of small_set."""
@@ -706,7 +753,34 @@ def small_set_by_points(points, top=None):
     if not pts:
         raise ValueError("empty point set")
     top = Point(max(x) for x in zip(*pts)) if top is None else Point(top)
-    return SmallSet(tuple(pts), top)
+    return small_set_points_by_items(pts, top)
+
+
+def closure_by_points(gens, conductor):
+    """closure_small with each generator read and clamped per point."""
+    top = Point(conductor)
+    if any(t < 0 for t in top):
+        raise ValueError("conductor must be in N^n")
+    clamped = [meet(g, top) for g in points_by_items(gens, top.dim, "generator")]
+    rows = semigroup._sum_closure(clamped, top)
+    rows[-1] |= 1 << top[-1]
+    return SmallSet._of_rows(_meet_closure(rows, top), top)
+
+
+def gi_by_points(s, hgens):
+    """gi_from_generators with each generator read and clamped per point."""
+    gens = points_by_items(hgens, s.dim, "generator")
+    if not gens:
+        raise ValueError("at least one generator is required")
+    corner = reduce(meet, gens) + s.small.top
+    return ideals._clamped_sum_ideal(s, rows_by_points(gens, corner), corner, s.small, corner)
+
+
+def is_minimal_by_points(gens, s):
+    """is_minimal_system on a local s of N^2, each point read per item and
+    clamped with meet, generation decided by the closure
+    (is_minimal_by_closure)."""
+    return is_minimal_by_closure(points_by_items(gens, 2, "generator"), s)
 
 
 def normalize_by_points(small):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,22 @@ def test_duplication_rejects_non_ideals(ns23):
 def test_amalgamation_golden(amalgam_example):
     assert data.points(amalgam_example.small.points) == data.points(data.AMALG_SMALL)
     assert tuple(amalgam_example.conductor) == tuple(data.AMALG_CONDUCTOR)
+
+
+def test_amalgamation_masks_no_more_bits_than_the_top_holds():
+    # with factor 10**7, k*x lies far above the top t1 = 9, and the columns
+    # are masked to t1 + 1 bits, not k*x
+    s, t = ns_from_generators([2, 3]), ns_from_generators([3, 4])
+    e = ideal_from_generators(t, [3])
+    k = 10**7
+    tracemalloc.start()
+    try:
+        got = amalgamation(s, t, e, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == construction_by_membership("amalgamation", s, t, e, k)
+    assert peak < 64 * 1024, peak
 
 
 def test_amalgamation_rejects_bad_inputs(ns23):

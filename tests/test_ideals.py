@@ -104,6 +104,17 @@ def test_gi_contains(dup35):
     assert gi_contains(k, tuple(Point(k.conductor) + ones(2)))
 
 
+def test_gi_contains_reads_its_point_as_gs_contains_does(dup_example):
+    # lists, tuples and Points alike, and a float coordinate read by Point
+    e = gi_from_generators(dup_example, [(2, 3)])
+    for p in ((8, 9), (1, 1), (50, 60), (2, 3), (-1, 4)):
+        want = gi_contains(e, Point(p))
+        assert gi_contains(e, list(p)) is gi_contains(e, tuple(p)) is want
+        assert gi_contains(e, [float(p[0]), p[1]]) is want
+        assert gs_contains(dup_example, [float(p[0]), p[1]]) is gs_contains(dup_example, p)
+    assert gi_contains(e, [8.0, 9]) and not gi_contains(e, [1.0, 1])
+
+
 def test_tail_ideals_of_the_duplication_example(dup_example):
     for base, (rows, top) in data.DUP_TAILS.items():
         e = tail_ideal(dup_example, base)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from goodsgp import (
     DimensionMismatch,
     GoodSemigroup,
+    GoodSgpError,
     NotGoodIdeal,
     NotGoodSemigroup,
     Point,
@@ -23,17 +24,21 @@ from goodsgp import (
     canonical_generators,
     canonical_ideal,
     closure_small,
+    from_maximal_elements,
+    gi_from_generators,
     good_semigroup,
     gs_contains,
     gs_equal,
     gs_from_generators,
     gs_subset,
     is_local,
+    is_minimal_system,
     is_symmetric,
     maximal_elements,
     minimal_generating_system,
     normalize_conductor,
     ns_contains,
+    ns_from_generators,
     projection,
     small_set,
     sum_ideals,
@@ -49,9 +54,13 @@ from _corpus import (
     _fiber_top,
     box_members,
     canonical_generators_by_projections,
+    closure_by_points,
     closures3,
     corpus,
+    construction_by_membership,
     corrupt,
+    gi_by_points,
+    is_minimal_by_points,
     kernel_cases,
     ladder_duplication,
     maximal_by_points,
@@ -59,7 +68,9 @@ from _corpus import (
     meet_pair_scan,
     normalize_by_points,
     product_semigroup,
+    rows_by_points,
     small_set_by_points,
+    small_set_points_by_items,
     sum_pair_scan,
 )
 
@@ -139,6 +150,90 @@ def test_small_set_checks_match_the_point_route(case):
     # small_set builds rows directly, with the same results and errors
     pts, top = case
     assert _outcome(small_set, pts, top) == _outcome(small_set_by_points, pts, top)
+
+
+def _mixed(rng, pts):
+    """The points pts as lists, tuples and Points mixed, now and then with
+    a float coordinate (which Point reads), and with zero to two offenders
+    inserted anywhere: a point with one coordinate too many, one with a
+    negative coordinate, or an empty point."""
+    out = []
+    for p in pts:
+        p = list(p)
+        if rng.random() < 0.05:
+            p[rng.randrange(len(p))] += 0.0
+        out.append(rng.choice((list, tuple, Point))(p))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        q = list(rng.choice(pts)) if pts else [0, 0]
+        kind = rng.randrange(3)
+        if kind == 0:
+            q.append(rng.randint(0, 3))
+        elif kind == 1:
+            q[rng.randrange(len(q))] = -rng.randint(1, 2)
+        else:
+            q = []
+        out.insert(rng.randint(0, len(out)), rng.choice((list, tuple))(q))
+    return out
+
+
+def _read_outcome(read, *args):
+    """What read(*args) returns, or the type and message of what it raises."""
+    try:
+        return read(*args)
+    except (GoodSgpError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_point_readers_match_the_per_point_route():
+    # the six readers of point lists against the per-point route, on the
+    # same kinds of seeded lists: lists, tuples and Points mixed, some with
+    # offenders, and points past the top for the readers that clamp;
+    # accepted lists give the same result, rejected ones the same error
+    # naming the same first offender (in lexicographic order for small_set)
+    rng = random.Random(2525)
+    s = ladder_duplication(13)
+    mingens = minimal_generating_system(s)
+    small = [p for p in s.small.points if any(p)]
+    s1, s2 = ns_from_generators([3, 5]), ns_from_generators([4, 7])
+    seen = {"accepted": 0, "rejected": 0}
+
+    def same(read, ref, *args):
+        got = _read_outcome(read, *args)
+        assert got == _read_outcome(ref, *args), (read.__name__, args)
+        seen["rejected" if isinstance(got, tuple) and type(got[0]) is type else "accepted"] += 1
+
+    def box(n, high, count):
+        return [tuple(rng.randint(0, high) for _ in range(n)) for _ in range(rng.randint(0, count))]
+
+    for _ in range(200):
+        for n in (1, 2, 3):
+            top = Point((4,) * n)
+            pts = _mixed(rng, sorted(set(box(n, 4, 6)) | {tuple(top)}))
+            same(SmallSet, small_set_points_by_items, pts, top)
+            pts = _mixed(rng, box(n, 4, 6))
+            same(small_set, small_set_by_points, pts, rng.choice((None, top)))
+            same(closure_small, closure_by_points, _mixed(rng, box(n, 6, 4)), top)
+        same(gi_from_generators, gi_by_points, s, _mixed(rng, box(2, 16, 3)))
+        gens = [p for p in mingens if rng.random() < 0.9] + rng.sample(small, rng.randint(0, 2))
+        gens = [tuple(x + rng.randint(0, 3) if x == t else x for x, t in zip(p, s.conductor))
+                for p in gens]  # points on the top line pushed past it clamp back
+        rng.shuffle(gens)
+        same(is_minimal_system, is_minimal_by_points, _mixed(rng, gens), s)
+        listed = [(rng.choice(s1.small_elements), rng.choice(s2.small_elements))
+                  for _ in range(rng.randint(0, 3))]
+        same(from_maximal_elements, lambda *a: construction_by_membership("maximal", *a),
+             s1, s2, _mixed(rng, listed))
+    assert min(seen.values()) > 400, seen
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(0, 4)] * n),
+    st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=8))))
+def test_rows_of_points_are_the_rows_of_their_clamped_points(case):
+    top, pts = case
+    clamped = [tuple(map(min, p, top)) for p in pts]
+    assert semigroup._rows(pts, top) == semigroup._rows(clamped, top) == rows_by_points(pts, top)
 
 
 def test_small_set_is_held_by_its_rows(dup_example):
