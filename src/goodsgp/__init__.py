@@ -15,7 +15,6 @@ from .arf import (
     arf_closure,
     arf_saturation,
     is_arf,
-    saturation_infima_closure,
 )
 from .constructions import amalgamation, cartesian, duplication, from_maximal_elements
 from .errors import (
@@ -46,7 +45,7 @@ from .ideals import (
     tail_ideal,
     validate_ideal_small_set,
 )
-from .lattice import Point, geq, join, meet, ones
+from .lattice import Point, join, ones
 from .numerical import (
     NumericalIdeal,
     NumericalSemigroup,
@@ -58,9 +57,7 @@ from .numerical import (
     ns_element_at,
     ns_from_generators,
     ns_from_small,
-    ns_is_arf,
     ns_multiplicity,
-    ns_tail,
 )
 from .oracle import brute_arf_check, brute_canonical, brute_closure, brute_member
 from .plot import render_plot
@@ -72,9 +69,7 @@ from .semigroup import (
     closure_small,
     good_semigroup,
     gs_contains,
-    gs_equal,
     gs_from_generators,
-    gs_subset,
     is_local,
     maximal_elements,
     normalize_conductor,
@@ -89,9 +84,7 @@ __all__ = [
     "__version__",
     # lattice
     "Point",
-    "meet",
     "join",
-    "geq",
     "ones",
     # errors
     "GoodSgpError",
@@ -110,9 +103,7 @@ __all__ = [
     "ns_contains",
     "ns_element_at",
     "ns_multiplicity",
-    "ns_is_arf",
     "ns_arf_closure",
-    "ns_tail",
     "ideal_from_generators",
     "ideal_contains",
     "ideal_preimage_scale",
@@ -128,8 +119,6 @@ __all__ = [
     "normalize_conductor",
     "gs_from_generators",
     "gs_contains",
-    "gs_subset",
-    "gs_equal",
     "is_local",
     "maximal_elements",
     "projection",
@@ -158,7 +147,6 @@ __all__ = [
     "is_arf",
     "arf_closure",
     "arf_saturation",
-    "saturation_infima_closure",
     # oracle
     "brute_member",
     "brute_closure",

@@ -32,19 +32,16 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, ge, lt, or_, sub
 
-from .errors import DimensionMismatch
-from .lattice import Point
+from .lattice import Point, _wrong_dimension
 from .numerical import _arf_chain
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
     _box_rows,
     _low_bit,
-    _meet_closure,
     _require_dim2,
     _row_points,
     _row_tuples,
-    _rows,
     _rows_local,
     _sum_closure,
     _tail_rows,
@@ -56,7 +53,6 @@ __all__ = [
     "is_arf",
     "arf_closure",
     "arf_saturation",
-    "saturation_infima_closure",
 ]
 
 
@@ -119,7 +115,7 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
     """
     box = Point(box)
     if box.dim != s.dim:
-        raise DimensionMismatch("box %r vs semigroup dimension %d" % (box, s.dim))
+        raise _wrong_dimension(box, s.dim, "box")
     members = set(_row_tuples(_box_rows(s.small, box), box))
     changed = True
     while changed:
@@ -133,9 +129,3 @@ def arf_saturation(s: GoodSemigroup, box) -> tuple:
                     members.add(p)
                     changed = True
     return tuple(sorted(Point(p) for p in members))
-
-
-def saturation_infima_closure(s: GoodSemigroup, box) -> tuple:
-    """Meet closure of the in-box saturation (meets stay inside the box)."""
-    box = Point(box)
-    return _row_points(_meet_closure(_rows(arf_saturation(s, box), box), box), box)

@@ -29,13 +29,15 @@ over the base semigroup ("duplication") or over the target ("amalgamation").
 Exit codes: 0 success, 1 failed validation or construction, 2 unreadable or
 malformed input (negative coordinates, dimension mismatches and JSON nested
 too deeply included), 3 unsupported dimension, 4 operation needs a local
-semigroup.
+semigroup, 5 the output could not be written (silently for a closed pipe,
+with one "error:" line otherwise, such as for a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -75,6 +77,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NONLOCAL = 4
+EXIT_OUTPUT = 5
 
 
 class _InputError(Exception):
@@ -370,7 +373,18 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    """run, then flush stdout.  Output that cannot be written exits
+    EXIT_OUTPUT with no traceback, and stdout is pointed at the null
+    device, so that the interpreter's flush at exit does not fail again."""
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError for a closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print("error: cannot write stdout: %s" % (exc,), file=sys.stderr)
+        return EXIT_OUTPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -52,12 +52,8 @@ from itertools import accumulate
 from math import inf
 from operator import mul, or_
 
-from .errors import (
-    DimensionMismatch,
-    NonLocalError,
-    NotGoodIdeal,
-)
-from .lattice import Point, join, ones
+from .errors import NonLocalError, NotGoodIdeal
+from .lattice import Point, _wrong_dimension, join, ones
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
@@ -144,10 +140,7 @@ def validate_ideal_small_set(ambient: GoodSemigroup, small: SmallSet) -> Validat
     with q is missing.
     """
     if ambient.dim != small.dim:
-        raise DimensionMismatch(
-            "ideal data %r does not match an ambient of dimension %d"
-            % (small.top, ambient.dim)
-        )
+        raise _wrong_dimension(small.top, ambient.dim, "ideal top")
     violations = _meet_violations(small)
     violations.extend(_coordinate_witness_violations(small))
     violations.extend(_absorption_violations(ambient, small))
@@ -272,7 +265,7 @@ def tail_ideal(s: GoodSemigroup, a) -> GoodRelativeIdeal:
     """The good relative ideal of all members of s lying above a."""
     a = Point(a)
     if a.dim != s.dim:
-        raise DimensionMismatch("point %r vs ambient dimension %d" % (a, s.dim))
+        raise _wrong_dimension(a, s.dim)
     top = join(a, s.small.top)
     return good_ideal(s, SmallSet._of_rows(_box_rows(s.small, top, a), top))
 

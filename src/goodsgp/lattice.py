@@ -2,7 +2,10 @@
 
 Python compares tuples lexicographically.  That total order is what we use for
 deterministic sorting of output, but it is NOT the semigroup order.  Order
-tests in this package compare componentwise, through geq below or inline.
+tests in this package compare componentwise, inline.
+
+Every reader of points, of one point or of a list, reports a point of the
+wrong dimension by one message (_wrong_dimension).
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "Point",
-    "meet",
     "join",
-    "geq",
     "ones",
 ]
 
@@ -47,29 +48,21 @@ class Point(tuple):
         return "Point(%s)" % (tuple(self),)
 
 
+def _wrong_dimension(p, n, noun="point") -> DimensionMismatch:
+    """The error for a point p read where points of n coordinates are
+    expected, the noun naming what p stands for."""
+    return DimensionMismatch("%s %s has %d coordinates, not %d" % (noun, tuple(p), len(p), n))
+
+
 def _check_dims(a, b):
     if len(a) != len(b):
-        raise DimensionMismatch(
-            "dimension mismatch: %d vs %d" % (len(a), len(b))
-        )
-
-
-def meet(a: Point, b: Point) -> Point:
-    """Componentwise minimum (infimum in the product order)."""
-    _check_dims(a, b)
-    return Point(min(x, y) for x, y in zip(a, b))
+        raise _wrong_dimension(b, len(a))
 
 
 def join(a: Point, b: Point) -> Point:
     """Componentwise maximum (supremum in the product order)."""
     _check_dims(a, b)
     return Point(max(x, y) for x, y in zip(a, b))
-
-
-def geq(a, b) -> bool:
-    """a >= b in every coordinate."""
-    _check_dims(a, b)
-    return all(x >= y for x, y in zip(a, b))
 
 
 def ones(n: int) -> Point:

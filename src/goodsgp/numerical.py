@@ -32,9 +32,7 @@ __all__ = [
     "ns_contains",
     "ns_element_at",
     "ns_multiplicity",
-    "ns_is_arf",
     "ns_arf_closure",
-    "ns_tail",
     "ideal_from_generators",
     "ideal_contains",
     "ideal_preimage_scale",
@@ -202,12 +200,6 @@ def ns_multiplicity(s: NumericalSemigroup) -> int:
     return ns_element_at(s, 1)
 
 
-def ns_is_arf(s: NumericalSemigroup) -> bool:
-    """Whether b + c - a is a member for all members a <= b, a <= c, that is,
-    whether s is its own Arf closure."""
-    return ns_arf_closure(s) == s
-
-
 def _arf_chain(gens) -> list:
     """The members up to the conductor, the last one the conductor, of the
     Arf closure of the semigroup that gens generate (positive, gcd 1), by
@@ -230,13 +222,6 @@ def ns_arf_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     (_arf_chain)."""
     small = _arf_chain(s.generators)
     return ns_from_small(small, small[-1])
-
-
-def ns_tail(s: NumericalSemigroup, a: int) -> NumericalIdeal:
-    """The ideal of members >= a."""
-    if a < 0:
-        a = 0
-    return _ideal(s, lambda v: v >= a and ns_contains(s, v), max(a, s.conductor))
 
 
 def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:

@@ -21,10 +21,12 @@ every n = 2 invariant reads them or the fiber-top table built from them.
 So Points are built only for what a caller lists: the points of a set, the
 points an invariant returns, and the witness pair scan for n != 2.
 The members of a box, rays and cone included, are read off the rows too
-(_box_rows), by the tail, sum, absorption, subset and saturation routines.
+(_box_rows), by the tail, sum, absorption and saturation routines.
 
 Every point list a caller passes is read by _checked_points and clamped
-only by _rows, which sets the bits of min(p, top).
+only by _rows, which sets the bits of min(p, top); a single point of the
+wrong dimension is reported in the words _checked_points uses
+(lattice._wrong_dimension).
 
 * Membership (SmallSet.contains) is one bit of the rows: bit min(p_n, C_n)
   of the row at min(p', C'), primes dropping the last coordinate.
@@ -80,12 +82,8 @@ from functools import cached_property, reduce
 from math import inf, prod
 from operator import add, and_, itemgetter, le, lt, mul, or_, sub
 
-from .errors import (
-    DimensionMismatch,
-    NotGoodSemigroup,
-    UnsupportedDimension,
-)
-from .lattice import Point
+from .errors import NotGoodSemigroup, UnsupportedDimension
+from .lattice import Point, _wrong_dimension
 from .numerical import NumericalSemigroup, ns_from_small
 
 __all__ = [
@@ -100,8 +98,6 @@ __all__ = [
     "validate_small_set",
     "gs_from_generators",
     "gs_contains",
-    "gs_subset",
-    "gs_equal",
     "is_local",
     "maximal_elements",
     "projection",
@@ -179,7 +175,7 @@ class SmallSet:
         set: one bit of the rows, at p clamped to the top."""
         top = self.top
         if len(p) != len(top):
-            raise DimensionMismatch("point %r vs top %r" % (p, top))
+            raise _wrong_dimension(p, len(top))
         if any(x < 0 for x in p):
             return False
         *head, y = map(min, p, top)
@@ -195,7 +191,8 @@ def small_set(points, top=None) -> SmallSet:
     Points may come in any order and repeat.  With top omitted, the
     componentwise maximum of the points is used; it must itself be one of
     the points.  Data that passes _int_axes within the top has its bits set
-    in one pass (_rows), and the top's bit is read back.  Other data, and
+    in one pass over the axes _int_axes built (_axis_rows), each axis's
+    maximum taken once, and the top's bit is read back.  Other data, and
     data failing a check, goes through SmallSet as sorted Points, which
     names the first offender.
     """
@@ -203,9 +200,10 @@ def small_set(points, top=None) -> SmallSet:
     n = len(pts[0]) if pts and type(pts[0]) in _SEQUENCES else 0
     axes = _int_axes(pts, n)
     if axes:
-        box = Point(map(max, axes) if top is None else top)
-        if len(box) == n and all(map(le, map(max, axes), box)):
-            rows = _rows(pts, box)
+        highs = list(map(max, axes))
+        box = Point(highs if top is None else top)
+        if len(box) == n and all(map(le, highs, box)):
+            rows = _axis_rows(axes, box)
             if rows[-1] >> box[-1] & 1:
                 return SmallSet._of_rows(rows, box)
     pts = sorted(set(map(Point, pts)))
@@ -281,8 +279,7 @@ def _checked_points(points, n, noun) -> list:
     out = []
     for p in map(Point, pts):
         if len(p) != n:
-            raise DimensionMismatch(
-                "%s %s has %d coordinates, not %d" % (noun, tuple(p), len(p), n))
+            raise _wrong_dimension(p, n, noun)
         if min(p) < 0:
             raise ValueError("%s %s has a negative coordinate" % (noun, tuple(p)))
         out.append(p)
@@ -301,13 +298,19 @@ def _strides(sides) -> list:
 
 def _rows(points, top) -> list:
     """The bit rows of min(p, top) over the points p, in any order (see
-    SmallSet.rows): an axis of zip(*points) past top's is clamped, the row
-    index of a point is its last prefix coordinate plus the others times
-    their strides, summed axis by axis, and one pass sets the bits."""
+    SmallSet.rows): an axis of zip(*points) past top's is clamped, then
+    _axis_rows sets the bits."""
+    return _axis_rows([a if max(a) <= t else map(min, a, itertools.repeat(t))
+                       for a, t in zip(zip(*points), top)], top)
+
+
+def _axis_rows(axes, top) -> list:
+    """The bit rows of [0, top] of the points whose coordinates on axis j
+    are axes[j], none past top's: the row index of a point is its last
+    prefix coordinate plus the others times their strides, summed axis by
+    axis, and one pass sets the bits."""
     sides = [max(t + 1, 0) for t in top[:-1]]
     rows = [0] * prod(sides)
-    axes = [a if max(a) <= t else map(min, a, itertools.repeat(t))
-            for a, t in zip(zip(*points), top)]
     if axes:
         *heads, last = axes
         index = heads.pop() if heads else itertools.repeat(0)  # the last stride is 1
@@ -889,28 +892,6 @@ def gs_from_generators(gens, conductor) -> GoodSemigroup:
 def gs_contains(s: GoodSemigroup, p) -> bool:
     """Membership of an integer point in the semigroup, read by Point."""
     return s.small.contains(Point(p))
-
-
-def _small_subset(a: SmallSet, b: SmallSet) -> bool:
-    """Whether the set a reconstructs lies inside the one b reconstructs.
-
-    Both agree with their periodic continuation past the join of the tops,
-    so containment is decided on the box reaching one step beyond it, row
-    by row (_box_rows).
-    """
-    bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
-    return not any(x & ~y for x, y in zip(_box_rows(a, bound), _box_rows(b, bound)))
-
-
-def gs_subset(s: GoodSemigroup, t: GoodSemigroup) -> bool:
-    """Whether s is contained in t."""
-    if s.dim != t.dim:
-        raise DimensionMismatch("dimension %d vs %d" % (s.dim, t.dim))
-    return _small_subset(s.small, t.small)
-
-
-def gs_equal(s: GoodSemigroup, t: GoodSemigroup) -> bool:
-    return s.small == t.small
 
 
 def is_local(s: GoodSemigroup) -> bool:

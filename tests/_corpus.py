@@ -14,7 +14,7 @@ import random
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import inf, prod
-from operator import lt, or_
+from operator import le, lt, or_
 
 from goodsgp import (
     ConstructionError,
@@ -25,6 +25,7 @@ from goodsgp import (
     Point,
     SmallSet,
     amalgamation,
+    arf_saturation,
     cartesian,
     closure_small,
     duplication,
@@ -34,7 +35,6 @@ from goodsgp import (
     ideal_preimage_scale,
     is_local,
     join,
-    meet,
     normalize_conductor,
     ns_arf_closure,
     ns_contains,
@@ -44,9 +44,9 @@ from goodsgp import (
     projection,
     small_set,
 )
-from goodsgp import ideals, semigroup
+from goodsgp import ideals, numerical, semigroup
 from goodsgp.ideals import good_ideal
-from goodsgp.semigroup import _box_rows, _fold_rows, _low_bit, _meet_closure
+from goodsgp.semigroup import _box_rows, _fold_rows, _low_bit, _meet_closure, _row_points
 
 # The benchmark's conductor ladder: the duplications "S by e + S" of <3,5> by
 # 5 (C=13), <5,7> by 7 (C=31), <9,11,13> by 11 (C=55) and <16,17,18,19> by
@@ -57,6 +57,18 @@ LADDER = {13: ([3, 5], 5), 31: ([5, 7], 7), 55: ([9, 11, 13], 11), 97: ([16, 17,
 PRODUCT3 = ([3, 5], [3, 7], [4, 5])
 # Corpus seeds of the sum kernel checks, with local_only
 KERNEL_SEEDS = ((514, True), (7, True), (99, True), (518, False), (11, False))
+
+
+def meet(a, b):
+    """The componentwise minimum of two points of one dimension."""
+    return Point(map(min, a, b))
+
+
+def ns_tail(s, a):
+    """The ideal of the members >= a of a numerical semigroup, by the
+    member test and bound that numerical._ideal reads."""
+    a = max(a, 0)
+    return numerical._ideal(s, lambda v: v >= a and ns_contains(s, v), max(a, s.conductor))
 
 
 def random_numerical(rng, max_conductor=10):
@@ -349,7 +361,7 @@ def chain_level_closure(s):
     if not is_local(s):
         return cartesian(t1, t2)
     level = 1
-    while semigroup._small_subset(s.small, _chain_level(t1, t2, level + 1)):
+    while small_subset(s.small, _chain_level(t1, t2, level + 1)):
         level += 1
     while True:
         try:
@@ -358,6 +370,42 @@ def chain_level_closure(s):
             if level == 1:
                 raise
             level -= 1
+
+
+def small_subset(a, b):
+    """Whether the set the small set a reconstructs lies inside the one b
+    reconstructs.  Both agree with their periodic continuation past the
+    join of the tops, so the box rows (_box_rows) of the box one step
+    beyond it decide."""
+    bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
+    return not any(x & ~y for x, y in zip(_box_rows(a, bound), _box_rows(b, bound)))
+
+
+def infima_closure(s, box):
+    """The meet closure of the in-box saturation, as the saturate command
+    computes it from the saturation's bit rows; meets of box points stay
+    in the box."""
+    box = Point(box)
+    return _row_points(_meet_closure(semigroup._rows(arf_saturation(s, box), box), box), box)
+
+
+def chain_lengths(small):
+    """The longest and the shortest path from 0 to the top in the Hasse
+    diagram of the points of small in the componentwise order; for a good
+    semigroup, S meets [0, C] in its small elements.  A point's lower
+    covers are the maximal points strictly below it, found scanning those
+    in reverse lexicographic order, in which a point comes before every
+    point below it."""
+    pts = small.points
+    longest, shortest = {pts[0]: 0}, {pts[0]: 0}
+    for i, a in enumerate(pts[1:], 1):
+        covers = []
+        for b in reversed(pts[:i]):
+            if all(map(le, b, a)) and not any(all(map(le, b, c)) for c in covers):
+                covers.append(b)
+        longest[a] = 1 + max(longest[b] for b in covers)
+        shortest[a] = 1 + min(shortest[b] for b in covers)
+    return longest[pts[-1]], shortest[pts[-1]]
 
 
 def maximal_by_points(s):
@@ -579,7 +627,7 @@ def arf_fixpoint(s):
 def arf_triple_scan(s):
     """Whether b + c - a is a member for all small members a <= b <= c of a
     numerical semigroup (larger b or c are automatic).  The reference for
-    ns_is_arf."""
+    the Arf test by the closure, ns_arf_closure(s) == s."""
     small = s.small_elements
     members = set(small)
     return all(

@@ -36,13 +36,12 @@ from goodsgp import (
     normalize_conductor,
     ns_arf_closure,
     projection,
-    saturation_infima_closure,
     small_set,
     validate_small_set,
 )
 
 import _data as data
-from _corpus import corpus, membership_in_closure, shuffled_eliminations
+from _corpus import corpus, infima_closure, membership_in_closure, shuffled_eliminations
 
 
 def _verdict(number, ok, note=""):
@@ -194,7 +193,7 @@ def test_criterion_10_saturation_gap(saturation_example):
         if gs_contains(t, p)
     }
     u = set(map(tuple, arf_saturation(saturation_example, box)))
-    closed = set(map(tuple, saturation_infima_closure(saturation_example, box)))
+    closed = set(map(tuple, infima_closure(saturation_example, box)))
     ok = (
         sorted(t_box - u) == [tuple(p) for p in data.SATURATION_GAP]
         and closed == t_box

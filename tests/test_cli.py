@@ -1,4 +1,5 @@
-"""The command line tool, driven in process through its main entry point."""
+"""The command line tool, driven in process through its main entry point,
+and in a separate interpreter where stdout cannot take its output."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 from unittest import mock
 
@@ -438,6 +441,40 @@ def test_plot_refuses_three_dimensions(capsys, tmp_path):
     code, _, err = _run(capsys, ["plot", doc])
     assert code == 3
     assert "n = 2" in err
+
+
+def _console(argv, stdout):
+    """A separate interpreter running the command line tool, its stdin and
+    stderr pipes."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "goodsgp.cli", *argv], stdin=subprocess.PIPE, stdout=stdout,
+        stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+
+
+# 127,478 bytes of output, more than a pipe holds
+_CARTESIAN_127K = json.dumps({"kind": "cartesian", "left": [14, 15], "right": [16, 17]})
+
+
+def test_a_closed_pipe_exits_five_silently():
+    proc = _console(["small", "-"], subprocess.PIPE)
+    proc.stdin.write(_CARTESIAN_127K.encode())
+    proc.stdin.close()
+    assert proc.stdout.read(20) == b'{"conductor": [182, '
+    proc.stdout.close()  # as `head -c 20` does
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (5, b"")
+    proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("doc", [_CARTESIAN_127K, '{"kind": "small", "small": [[0, 0]]}'],
+                         ids=["past-the-buffer", "within-the-buffer"])
+def test_a_full_disk_exits_five_with_one_error_line(doc):
+    with open("/dev/full", "wb") as full:
+        proc = _console(["small", "-"], full)
+        _, err = proc.communicate(doc.encode(), timeout=60)
+    assert proc.returncode == 5
+    assert err == b"error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -47,6 +47,7 @@ from _corpus import (
     absorption_pair_scan,
     arf_triple_loop,
     box_members,
+    chain_lengths,
     closures3,
     column_sum_ideal,
     corpus,
@@ -453,6 +454,21 @@ def test_symmetric_examples(dup_example, dup35):
     assert k.small.points == dup35.small.points
     mini = good_semigroup(small_set([(0, 0), (1, 1)], (1, 1)))
     assert is_symmetric(mini)
+
+
+def test_saturated_chains_measure_the_distance_to_symmetry():
+    # D'Anna (Comm. Algebra 25, 1997): the saturated chains from 0 to C in
+    # the small elements all have one length d, 2 d <= C_1 + C_2, and
+    # equality holds exactly for symmetric S
+    cases = corpus(514, 40, cap=9) + corpus(7, 40, cap=9) + (ladder_duplication(13),)
+    verdicts = []
+    for s in cases:
+        longest, shortest = chain_lengths(s.small)
+        assert longest == shortest, s.small
+        assert 2 * longest <= sum(s.conductor), s.small
+        assert (2 * longest == sum(s.conductor)) == is_symmetric(s), s.small
+        verdicts.append(is_symmetric(s))
+    assert True in verdicts and False in verdicts
 
 
 def test_canonical_generating_family(dup35):

@@ -15,12 +15,15 @@ from goodsgp import (
     ns_element_at,
     ns_from_generators,
     ns_from_small,
-    ns_is_arf,
     ns_multiplicity,
-    ns_tail,
 )
 
-from _corpus import addition_pair_loop, arf_fixpoint, arf_triple_scan
+from _corpus import addition_pair_loop, arf_fixpoint, arf_triple_scan, ns_tail
+
+
+def _is_arf(s):
+    """Whether s is its own Arf closure."""
+    return ns_arf_closure(s) == s
 
 
 def test_small_elements_of_reference_semigroups():
@@ -101,9 +104,9 @@ def test_element_at_and_multiplicity():
 
 
 def test_arf_predicate():
-    assert ns_is_arf(ns_from_generators([2, 3]))
-    assert not ns_is_arf(ns_from_generators([3, 4]))  # 4 + 4 - 3 = 5 missing
-    assert ns_is_arf(ns_from_generators([3, 4, 5]))
+    assert _is_arf(ns_from_generators([2, 3]))
+    assert not _is_arf(ns_from_generators([3, 4]))  # 4 + 4 - 3 = 5 missing
+    assert _is_arf(ns_from_generators([3, 4, 5]))
 
 
 def test_arf_closure_of_3_4():
@@ -111,9 +114,9 @@ def test_arf_closure_of_3_4():
     assert t.small_elements == (0, 3)
     assert t.conductor == 3
     assert ns_element_at(t, 2) == 4
-    assert ns_is_arf(t)
+    assert _is_arf(t)
     # removing 5 from the closure breaks the Arf property again
-    assert not ns_is_arf(ns_from_generators([3, 4]))
+    assert not _is_arf(ns_from_generators([3, 4]))
 
 
 def test_arf_closure_is_a_closure_operator():
@@ -126,7 +129,7 @@ def test_arf_closure_is_a_closure_operator():
         except ValueError:
             continue
         t = ns_arf_closure(s)
-        assert ns_is_arf(t)
+        assert _is_arf(t)
         assert all(ns_contains(t, v) for v in s.small_elements)
         assert t.conductor <= s.conductor
         assert ns_arf_closure(t).small_elements == t.small_elements
@@ -196,8 +199,8 @@ def test_arf_and_ideals_against_brute_references():
     for s in _random_semigroups(6060, 200):
         t = ns_arf_closure(s)
         assert (t.small_elements, t.conductor) == arf_fixpoint(s)
-        assert ns_is_arf(s) == arf_triple_scan(s)
-        assert ns_is_arf(t) and arf_triple_scan(t)
+        assert _is_arf(s) == arf_triple_scan(s)
+        assert _is_arf(t) and arf_triple_scan(t)
         c = s.conductor
         # a semigroup's generators: M minus M + M for M = s minus 0
         pos = [v for v in range(1, c + ns_multiplicity(s) + 1) if ns_contains(s, v)]

@@ -20,17 +20,18 @@ from goodsgp import (
     Point,
     SmallSet,
     arf_closure,
+    arf_saturation,
     brute_member,
     canonical_generators,
     canonical_ideal,
     closure_small,
     from_maximal_elements,
+    gi_contains,
     gi_from_generators,
+    good_ideal,
     good_semigroup,
     gs_contains,
-    gs_equal,
     gs_from_generators,
-    gs_subset,
     is_local,
     is_minimal_system,
     is_symmetric,
@@ -71,6 +72,7 @@ from _corpus import (
     rows_by_points,
     small_set_by_points,
     small_set_points_by_items,
+    small_subset,
     sum_pair_scan,
 )
 
@@ -281,6 +283,33 @@ def test_row_membership_matches_the_clamped_point_lookup(dim):
                 small.contains((0,) * wrong)
 
 
+# every entry that reads one point or box: (entry on the n = 2 duplication
+# example s and its tail ideal e, the point it reads, the noun naming it)
+_SINGLE_POINT_ENTRIES = {
+    "gs_contains": (lambda s, e: gs_contains(s, (1, 2, 3)), (1, 2, 3), "point"),
+    "gi_contains": (lambda s, e: gi_contains(e, (1, 2, 3)), (1, 2, 3), "point"),
+    "SmallSet.contains": (lambda s, e: s.small.contains([4]), (4,), "point"),
+    "tail_ideal": (lambda s, e: tail_ideal(s, (1, 2, 3)), (1, 2, 3), "point"),
+    "arf_saturation": (lambda s, e: arf_saturation(s, (4, 4, 4)), (4, 4, 4), "box"),
+    "Point +": (lambda s, e: Point((1, 2)) + Point((1, 2, 3)), (1, 2, 3), "point"),
+    "+ Point": (lambda s, e: (1, 2, 3) + Point((1, 2)), (1, 2, 3), "point"),
+    "Point -": (lambda s, e: Point((1, 2)) - (1,), (1,), "point"),
+    "ideal data": (lambda s, e: good_ideal(s, small_set([(0, 0, 0), (1, 1, 1)])),
+                   (1, 1, 1), "ideal top"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SINGLE_POINT_ENTRIES))
+def test_single_points_of_the_wrong_dimension_read_as_point_lists(dup_example, entry):
+    call, point, noun = _SINGLE_POINT_ENTRIES[entry]
+    with pytest.raises(DimensionMismatch) as listed:
+        semigroup._checked_points([point], 2, noun)
+    with pytest.raises(DimensionMismatch) as single:
+        call(dup_example, tail_ideal(dup_example, (2, 2)))
+    assert str(single.value) == str(listed.value) == "%s %s has %d coordinates, not 2" % (
+        noun, point, len(point))
+
+
 def test_duplication_small_set_is_valid():
     report = validate_small_set(small_set(data.DUP_SMALL, data.DUP_CONDUCTOR))
     assert report.ok
@@ -375,12 +404,13 @@ def test_gs_from_generators_rejects_the_counterexample_sets():
 
 
 def test_subset_and_equality(dup_example, dup35):
-    assert gs_subset(dup_example, dup_example)
-    assert gs_equal(dup_example, dup_example)
-    assert not gs_equal(dup_example, dup35)
+    # the small set reference for containment, and equality of small sets
+    assert small_subset(dup_example.small, dup_example.small)
+    assert dup_example.small == dup_example.small
+    assert dup_example.small != dup35.small
     n2 = _gs([(0, 0)], (0, 0))
-    assert gs_subset(dup_example, n2)
-    assert not gs_subset(n2, dup_example)
+    assert small_subset(dup_example.small, n2.small)
+    assert not small_subset(n2.small, dup_example.small)
 
 
 def _brute_subset(s, t):
@@ -407,7 +437,7 @@ def test_gs_subset_matches_brute_containment_on_random_pairs():
     pairs += [tuple(rng.sample(space, 2)) for _ in range(30)]
     verdicts = []
     for s, t in pairs:
-        got = gs_subset(s, t)
+        got = small_subset(s.small, t.small)
         assert got == _brute_subset(s, t), (s.small, t.small)
         verdicts.append((s.dim, got))
     assert {(2, True), (2, False), (3, True), (3, False)} <= set(verdicts)
@@ -630,7 +660,7 @@ def test_box_rows_match_the_membership_scan(case):
 def test_small_subset_matches_the_membership_scan(pair):
     a, b = pair
     bound = tuple(max(x, y) + 1 for x, y in zip(a.top, b.top))
-    assert semigroup._small_subset(a, b) == all(map(b.contains, box_members(a, bound)))
+    assert small_subset(a, b) == all(map(b.contains, box_members(a, bound)))
 
 
 @pytest.mark.parametrize("axiom", [None, "zero", "meet", "sum", "witness", "conductor"])
