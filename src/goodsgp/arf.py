@@ -24,7 +24,9 @@ of the tails, recording each e.  Once the set is not local, neither is its
 closure, and a non local good semigroup of N^2 is the product of its
 projections (Barucci, D'Anna and Fröberg, J. Pure Appl. Algebra 147,
 2000): the base is the product of the numerical Arf closures of the
-projections, exactly.  The recorded e's are laid back on, innermost first.
+projections, exactly: numerical._arf_chain maps the member int of each
+axis's values to that of its closure.  The recorded e's are laid back on,
+innermost first.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .numerical import _arf_chain
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
+    _axis_bits,
     _box_rows,
     _low_bit,
+    _product_rows,
     _require_dim2,
     _row_points,
     _row_tuples,
@@ -75,10 +79,11 @@ def arf_closure(s: GoodSemigroup) -> GoodSemigroup:
     from 1 on and the lowest bit over the columns from there, and X becomes
     its shifted tail at e (_tail_rows) plus the bit at min(e, T - e).  No
     later step reads bit 0 of the first column, so 0 is not added.  The
-    base finishes each axis with the numerical recursion on X's nonzero
-    coordinates there plus T_i + 1: an Arf set holding x and x + 1 holds
-    every larger integer.  The product rows then take {0} u (e + ...) per
-    recorded e, and the result is validated once.
+    base finishes each axis with the numerical recursion (_arf_chain) on
+    the member int of X's nonzero values there (_axis_bits) and every
+    value from T_i + 1: an Arf set holding x and x + 1 holds every larger
+    integer.  The product rows (_product_rows) then take {0} u (e + ...)
+    per recorded e, and the result is validated once.
     """
     _require_dim2(s, "arf_closure")
     rows, top = list(s.small.rows), tuple(s.small.top)
@@ -90,14 +95,9 @@ def arf_closure(s: GoodSemigroup) -> GoodSemigroup:
         x, y = map(min, e, top)
         rows[x] |= 1 << y
         steps.append(e)
-    xs = _arf_chain([x for x in range(1, top[0] + 1) if rows[x]] + [top[0] + 1])
-    union = reduce(or_, rows)
-    ys = _arf_chain([y for y in range(1, top[1] + 1) if union >> y & 1] + [top[1] + 1])
-    column = sum(1 << y for y in ys)
-    rows = [0] * (xs[-1] + 1)
-    for x in xs:
-        rows[x] = column
-    top = (xs[-1], ys[-1])
+    xs, ys = (_arf_chain(v & ~1 | -1 << t + 1) for v, t in zip(_axis_bits(rows), top))
+    top = ((~xs).bit_length(), (~ys).bit_length())  # their conductors
+    rows = _product_rows(xs, ys, top)
     for x, y in reversed(steps):
         rows = [1] + [0] * (x - 1) + [r << y for r in rows]
         top = (top[0] + x, top[1] + y)

@@ -2,8 +2,8 @@
 
 Each construction writes the small elements at its top as bit columns: one
 int per x in [0, top_0], with bit y set when (x, y) is a member.  With S, E
-and K the members of s, e and k*s in [0, top_1] as bits (_bits), and
-mask(y) the bits below y:
+and K the members of s, e and k*s in [0, top_1], masked from member ints
+(see numerical), and mask(y) the bits below y:
 
 * cartesian: column x is S_2 when x is in s_1, else 0.
 * duplication: column x holds bit x and E & mask(x) when x is in s, and
@@ -14,9 +14,9 @@ mask(y) the bits below y:
   listed a keeps the bits up to a_1 of column a_0 and clears bit a_1 of
   the columns right of a_0.
 
-The columns then have their conductor normalized defensively and go
-through full validation, so a returned object is always a genuine good
-semigroup.
+A precondition is one mask, its lowest bit the least offender.  The
+columns then have their conductor normalized defensively and go through
+full validation, so a returned object is always a genuine good semigroup.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from .lattice import Point
 from .numerical import (
     NumericalIdeal,
     NumericalSemigroup,
-    ideal_contains,
+    _low_bit,
+    _preimage,
     ideal_preimage_scale,
-    ns_contains,
 )
 from .semigroup import (
     GoodSemigroup,
     SmallSet,
     _checked_points,
+    _product_rows,
     good_semigroup,
     normalize_conductor,
 )
@@ -44,11 +45,6 @@ __all__ = [
     "cartesian",
     "from_maximal_elements",
 ]
-
-
-def _bits(member, hi) -> int:
-    """The int with bit v set for each v in [0, hi] that member holds."""
-    return sum(1 << v for v in range(hi + 1) if member(v))
 
 
 def _from_columns(cols, top) -> GoodSemigroup:
@@ -67,14 +63,11 @@ def duplication(s: NumericalSemigroup, e: NumericalIdeal) -> GoodSemigroup:
     """
     if e.ambient != s:
         raise ConstructionError("the ideal is not an ideal of the given semigroup")
-    for v in e.small_elements:
-        if not ns_contains(s, v):
-            raise ConstructionError("ideal element %d is outside the semigroup" % (v,))
-    for v in range(e.conductor, s.conductor):
-        if not ns_contains(s, v):
-            raise ConstructionError("ideal element %d is outside the semigroup" % (v,))
+    outside = e._members & ~s._members
+    if outside:
+        raise ConstructionError("ideal element %d is outside the semigroup" % (_low_bit(outside),))
     c = e.conductor
-    S, E = _bits(s.__contains__, c), _bits(e.__contains__, c)
+    S, E = s._members & (2 << c) - 1, e._members & (2 << c) - 1
     cols = []
     for x in range(c + 1):
         col = 0
@@ -106,22 +99,24 @@ def amalgamation(
         raise ConstructionError("the scale factor must be a positive integer")
     if e.ambient != t:
         raise ConstructionError("the ideal is not an ideal of the target semigroup")
-    top_check = max(s.conductor, -(-t.conductor // k))
-    for v in list(s.small_elements) + list(range(s.conductor, top_check + 1)):
-        if not ns_contains(t, k * v):
-            raise ConstructionError(
-                "%d times %d falls outside the target semigroup" % (k, v)
-            )
+    outside = s._members & ~_preimage(t._members, k)
+    if outside:
+        raise ConstructionError(
+            "%d times %d falls outside the target semigroup" % (k, _low_bit(outside))
+        )
     ginv = ideal_preimage_scale(e, k, s)
     t0, t1 = ginv.conductor, e.conductor
-    E = _bits(e.__contains__, t1)
-    K = _bits(lambda y: y % k == 0 and ns_contains(s, y // k), t1)
+    S, G, E = s._members, ginv._members, e._members & (2 << t1) - 1
+    n = t1 // k + 1  # the u with k*u <= t1: K has u's bit of S at k*u
+    digits = bytearray(b"0") * (t1 + 1)
+    digits[::k] = format(S & (1 << n) - 1 | 1 << n, "b")[:0:-1].encode()
+    K = int(digits[::-1], 2)
     cols = []
     for x in range(t0 + 1):
         kx, col = k * x, 0
-        if ns_contains(s, x):  # (x, k*x), and (x, y) for y < k*x in e
+        if S >> x & 1:  # (x, k*x), and (x, y) for y < k*x in e
             col = E & (1 << min(kx, t1 + 1)) - 1 | (1 << kx if kx <= t1 else 0)
-        if ideal_contains(ginv, x):  # E' x e, and (x, k*u) for u >= x in s
+        if G >> x & 1:  # E' x e, and (x, k*u) for u >= x in s
             col |= E | K >> kx << kx
         cols.append(col)
     return _from_columns(cols, (t0, t1))
@@ -129,9 +124,8 @@ def amalgamation(
 
 def cartesian(s1: NumericalSemigroup, s2: NumericalSemigroup) -> GoodSemigroup:
     """The product semigroup, with conductor (c1, c2)."""
-    S2 = _bits(s2.__contains__, s2.conductor)
-    cols = [S2 if ns_contains(s1, x) else 0 for x in range(s1.conductor + 1)]
-    return _from_columns(cols, (s1.conductor, s2.conductor))
+    top = (s1.conductor, s2.conductor)
+    return _from_columns(_product_rows(s1._members, s2._members, top), top)
 
 
 def from_maximal_elements(
@@ -148,17 +142,14 @@ def from_maximal_elements(
     depends on the list; validation raises NotGoodSemigroup when it is not.
     """
     mpts = _checked_points(maximals, 2, "listed point")
-    for a in mpts:
-        if not (ns_contains(s1, a[0]) and ns_contains(s2, a[1])):
-            raise ConstructionError(
-                "listed point %s is outside the product" % (tuple(a),)
-            )
+    for a0, a1 in mpts:
+        if not s1._members >> a0 & s2._members >> a1 & 1:
+            raise ConstructionError("listed point %s is outside the product" % ((a0, a1),))
     if not mpts:
         return cartesian(s1, s2)
     t0 = max(s1.conductor, 1 + max(a[0] for a in mpts))
     t1 = max(s2.conductor, 1 + max(a[1] for a in mpts))
-    S2 = _bits(s2.__contains__, t1)
-    cols = [S2 if ns_contains(s1, x) else 0 for x in range(t0 + 1)]
+    cols = _product_rows(s1._members, s2._members, (t0, t1))
     for a0, a1 in mpts:
         cols[a0] &= (2 << a1) - 1
         for x in range(a0 + 1, t0 + 1):

@@ -1,17 +1,20 @@
 """Numerical semigroups (cofinite submonoids of N) and their relative ideals.
 
 Everything here is finite data: a semigroup is stored as its conductor plus
-the members below it, an ideal likewise.  These are the one dimensional
+the members up to it, an ideal likewise.  These are the one dimensional
 building blocks for the product constructions and the base of the two
 dimensional Arf closure.
 
-Each quantity has one route.  The conductor is one scan down from a bound
-past which everything is a member (_conductor).  Minimal generators of an
-ideal E of S are E minus E + (S minus 0), and a semigroup's are the same
-rule for E = S minus 0 (_minimal_generators).  Every ideal is built from a
-member test and such a bound (_ideal).  The Arf closure follows the
-multiplicity recursion of Rosales, García-Sánchez, García-García and Branco
-("Arf numerical semigroups", J. Algebra 276, 2004): with multiplicity m,
+Every routine reads one cached member int per set (_MemberInt): bit v for
+each member v below the conductor and every bit from the conductor on, so
+it is negative, x >= 0 is a member when bit x is set, and the conductor is
+(~m).bit_length().  Each quantity has one route on these ints.  The reach
+of the generators is closed under + g by ORing its shifts by g, 2g, 4g, ...
+below the Schur bound.  Minimal generators of an ideal E of S are E minus
+E + (S minus 0), a semigroup's the same rule for E = S minus 0
+(_minimal_generators).  The Arf closure follows the multiplicity recursion
+of Rosales, García-Sánchez, García-García and Branco ("Arf numerical
+semigroups", J. Algebra 276, 2004): with multiplicity m,
 Arf(<m, n_2, ..., n_e>) = {0} u (m + Arf(<m, n_2 - m, ..., n_e - m>)) and
 Arf(N) = N, so its members below the conductor are the partial sums of the
 successive multiplicities (_arf_chain, which the two dimensional closure
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress, count
+from operator import index, or_
 
 __all__ = [
     "NumericalSemigroup",
@@ -39,8 +44,22 @@ __all__ = [
 ]
 
 
+class _MemberInt:
+    """The cached member int (see the module docstring), built from the
+    small elements unless the builder stored it."""
+
+    @cached_property
+    def _members(self) -> int:
+        return _int_of(self.small_elements) | -1 << self.conductor
+
+    def __contains__(self, x):
+        """Is the int x a member?  Any other type raises TypeError."""
+        x = index(x)
+        return x >= 0 and self._members >> x & 1 == 1
+
+
 @dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(_MemberInt):
     """A cofinite submonoid of N.
 
     generators: the unique minimal generating set.
@@ -52,16 +71,9 @@ class NumericalSemigroup:
     small_elements: tuple
     conductor: int
 
-    @cached_property
-    def _members(self):
-        return frozenset(self.small_elements)
-
-    def __contains__(self, x):
-        return ns_contains(self, x)
-
 
 @dataclass(frozen=True)
-class NumericalIdeal:
+class NumericalIdeal(_MemberInt):
     """A relative ideal E of a numerical semigroup with E contained in N.
 
     Satisfies E + S subset of E.  Stored the same way as a semigroup: members
@@ -73,59 +85,66 @@ class NumericalIdeal:
     small_elements: tuple
     conductor: int
 
-    @cached_property
-    def _members(self):
-        return frozenset(self.small_elements)
-
-    def __contains__(self, x):
-        return ideal_contains(self, x)
-
 
 def ns_contains(s: NumericalSemigroup, x: int) -> bool:
-    if x < 0:
-        return False
-    return x >= s.conductor or x in s._members
+    return x in s
 
 
 def ideal_contains(e: NumericalIdeal, x: int) -> bool:
-    return x >= e.conductor or x in e._members
+    return x in e
 
 
-def _conductor(member, bound) -> int:
-    """One past the last non-member in [0, bound], or 0 when there is none;
-    every value past bound must be a member."""
-    for v in range(bound, -1, -1):
-        if not member(v):
-            return v + 1
-    return 0
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bytes 0 and 1
 
 
-def _minimal_generators(member, bound, ambient) -> tuple:
-    """E minus E + (S minus 0) for the set E that member tests and the
-    semigroup S that ambient tests, scanned over [0, bound].
+def _int_of(values) -> int:
+    """The int with bit v set for each v of the sequence values (ints >= 0),
+    through its binary digits."""
+    digits = bytearray(b"0") * (max(values, default=0) + 1)
+    for v in values:
+        digits[v] = 49  # the digit 1
+    return int(digits[::-1], 2)
 
-    The bound must be at least conductor(E) + multiplicity(S): anything
-    larger splits off one copy of the multiplicity.  Since E = gens + S, a
-    member v = w + x with x in S minus 0 also has v - g in S minus 0 for the
-    generator g below w, so only the generators found so far are tried.
-    """
-    gens = []
-    for v in range(bound + 1):
-        if member(v) and not any(ambient(v - g) for g in gens):
-            gens.append(v)
+
+def _low_bit(v: int) -> int:
+    """Index of the lowest set bit of v != 0."""
+    return (v & -v).bit_length() - 1
+
+
+def _small(m: int) -> tuple:
+    """The members up to the conductor of the member int m, and the
+    conductor."""
+    c = (~m).bit_length()
+    digits = format(m & (2 << c) - 1, "b")[::-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(count(), digits)), c
+
+
+def _minimal_generators(e: int, s: int) -> tuple:
+    """E minus E + (S minus 0) for the member ints e of an ideal E and s of
+    the semigroup S: the least member of E outside g + S for the generators
+    g found so far is the next one, as w + x, x in S minus 0, lies in g + S
+    once w does; none is left when E is the union of the g + S."""
+    gens, reached = [], 0
+    while rest := e & ~reached:
+        g = _low_bit(rest)
+        gens.append(g)
+        reached |= s << g
     return tuple(gens)
 
 
-def _ideal(s: NumericalSemigroup, member, bound) -> NumericalIdeal:
-    """The ideal of s that member tests, every value past bound a member."""
-    conductor = _conductor(member, bound)
-    small = {v for v in range(conductor + 1) if member(v)}
+def _semigroup(m: int) -> NumericalSemigroup:
+    """The semigroup of the member int m, which must be closed under sums
+    (not checked), with m cached."""
+    s = NumericalSemigroup(_minimal_generators(m & ~1, m), *_small(m))
+    vars(s)["_members"] = m
+    return s
 
-    def inside(v):
-        return v >= conductor or v in small
 
-    gens = _minimal_generators(inside, conductor + ns_multiplicity(s), s.__contains__)
-    return NumericalIdeal(s, gens, tuple(sorted(small)), conductor)
+def _ideal(s: NumericalSemigroup, m: int) -> NumericalIdeal:
+    """The ideal of s of the member int m (not checked), with m cached."""
+    e = NumericalIdeal(s, _minimal_generators(m, s._members), *_small(m))
+    vars(e)["_members"] = m
+    return e
 
 
 def ns_from_small(small, conductor) -> NumericalSemigroup:
@@ -145,22 +164,15 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
         raise ValueError("0 must be a member")
     if small[-1] != conductor or any(v > conductor for v in small):
         raise ValueError("small elements must end exactly at the conductor")
-    members = set(small)
-
-    def member(v):
-        return v >= conductor or v in members
-
-    bits = sum(1 << v for v in small)
+    bits = _int_of(small)
     for a in small:
         missing = (bits >> a << 2 * a) & ~bits & ((1 << conductor) - 1)
         if missing:
-            b = (missing & -missing).bit_length() - 1 - a
+            b = _low_bit(missing) - a
             raise ValueError("not closed under addition: %d + %d" % (a, b))
-    if conductor > 0 and member(conductor - 1):
+    if conductor > 0 and bits >> conductor - 1 & 1:
         raise ValueError("conductor %d is not minimal" % (conductor,))
-    mult = small[1] if len(small) > 1 else conductor + 1
-    gens = _minimal_generators(lambda v: v > 0 and member(v), conductor + mult, member)
-    return NumericalSemigroup(gens, small, conductor)
+    return _semigroup(bits | -1 << conductor)
 
 
 def ns_from_generators(gens) -> NumericalSemigroup:
@@ -170,19 +182,16 @@ def ns_from_generators(gens) -> NumericalSemigroup:
         raise ValueError("generators must be positive integers")
     if math.gcd(*gens) != 1:
         raise ValueError("generators must have gcd 1")
-    # Frobenius number is below (min-1)(max-1), so this bound sees the tail.
-    bound = (gens[0] - 1) * (gens[-1] - 1) + 1
-    reach = bytearray(bound + 1)
-    reach[0] = 1
-    for v in range(1, bound + 1):
-        for g in gens:
-            if g > v:
-                break
-            if reach[v - g]:
-                reach[v] = 1
-                break
-    conductor = _conductor(reach.__getitem__, bound)
-    return ns_from_small((v for v in range(conductor + 1) if reach[v]), conductor)
+    # Schur: the Frobenius number is below (min - 1)(max - 1), so every
+    # value from bound on is a member and the reach below it is exact.
+    bound = (gens[0] - 1) * (gens[-1] - 1)
+    window, reach = (1 << bound) - 1, 1
+    for g in gens:
+        shift = g
+        while shift < bound:  # closed under + g below bound: shifts g, 2g, 4g, ...
+            reach |= reach << shift & window
+            shift *= 2
+    return _semigroup(reach | -1 << bound)
 
 
 def ns_element_at(s: NumericalSemigroup, i: int) -> int:
@@ -200,28 +209,32 @@ def ns_multiplicity(s: NumericalSemigroup) -> int:
     return ns_element_at(s, 1)
 
 
-def _arf_chain(gens) -> list:
-    """The members up to the conductor, the last one the conductor, of the
-    Arf closure of the semigroup that gens generate (positive, gcd 1), by
-    the multiplicity recursion.
-
-    While the multiplicity m of the current generators exceeds 1, m joins the
-    running total and the generators become m and g - m for the others.
-    """
-    gens = set(gens)
-    small = [0]
-    while min(gens) > 1:
-        m = min(gens)
-        small.append(small[-1] + m)
-        gens = {m} | {g - m for g in gens if g != m}
-    return small
+def _arf_chain(p: int) -> int:
+    """The member int of the Arf closure of the semigroup generated by the
+    positive members of the member int p: while the multiplicity m, p's
+    lowest bit, exceeds 1, the running total grows by m and joins the
+    closure, and p becomes m and g - m for its other members g."""
+    closure, total = 1, 0
+    while not p & 2:
+        m = _low_bit(p)
+        total += m
+        closure |= 1 << total
+        p = p >> m & ~1 | 1 << m
+    return closure | -1 << total
 
 
 def ns_arf_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     """Smallest Arf semigroup containing s, by the multiplicity recursion
     (_arf_chain)."""
-    small = _arf_chain(s.generators)
-    return ns_from_small(small, small[-1])
+    return _semigroup(_arf_chain(s._members & ~1))
+
+
+def _preimage(m: int, k: int) -> int:
+    """The member int of {v : k * v in M}, M the set of the member int m,
+    k >= 1: every k-th binary digit of M below its conductor c, and every v
+    from c / k on."""
+    c = (~m).bit_length()
+    return int(format(m & (1 << c) - 1, "b")[::-k][::-1], 2) | -1 << -(-c // k)
 
 
 def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:
@@ -229,12 +242,7 @@ def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] < 0:
         raise ValueError("ideal generators must be nonnegative integers")
-
-    def member(v):
-        return any(g <= v and ns_contains(s, v - g) for g in gens)
-
-    # Everything from min(gens) + conductor(s) onward is a member.
-    return _ideal(s, member, gens[0] + s.conductor)
+    return _ideal(s, reduce(or_, (s._members << g for g in gens)))
 
 
 def ideal_preimage_scale(e: NumericalIdeal, k: int, s: NumericalSemigroup) -> NumericalIdeal:
@@ -245,6 +253,4 @@ def ideal_preimage_scale(e: NumericalIdeal, k: int, s: NumericalSemigroup) -> Nu
     """
     if k < 1:
         raise ValueError("scale factor must be >= 1")
-    # from here on x lies in s and k * x past the conductor of e
-    bound = max(s.conductor, -(-e.conductor // k))
-    return _ideal(s, lambda v: ns_contains(s, v) and ideal_contains(e, k * v), bound)
+    return _ideal(s, s._members & _preimage(e._members, k))

@@ -65,12 +65,13 @@ normalize_conductor read one mask per bit row of a slab (_slab_full), in
 every dimension; normalize_conductor's descent on the last axis ANDs that
 slab's rows once and then reads one bit per step.
 
-The n = 2 invariants (maximal elements, projections, the canonical ideal
-and its generators, minimal generating systems) all read one fiber-top
-table, built from the rows by one right to left scan (_last_points) and
-cached on the set (SmallSet._fiber_tops, read per value through
+The n = 2 invariants (maximal elements, the canonical ideal and its
+generators, minimal generating systems) all read one fiber-top table,
+built from the rows by one right to left scan (_last_points) and cached on
+the set (SmallSet._fiber_tops, read per value through
 SmallSet.fiber_top), instead of listing the points; the generating
-systems read their candidates' last points from the same scan.
+systems read their candidates' last points from the same scan.  The
+projections read each axis's values off the rows as one int (_axis_bits).
 Validation reads no table, so validated data keeps only its rows.
 """
 
@@ -84,7 +85,7 @@ from operator import add, and_, itemgetter, le, lt, mul, or_, sub
 
 from .errors import NotGoodSemigroup, UnsupportedDimension
 from .lattice import Point, _wrong_dimension
-from .numerical import NumericalSemigroup, ns_from_small
+from .numerical import _BIT_BYTES, NumericalSemigroup, _int_of, _low_bit, _semigroup
 
 __all__ = [
     "SmallSet",
@@ -651,11 +652,6 @@ def _witness_pair_scan(small: SmallSet, stop_after_first=True) -> list:
     return out
 
 
-def _low_bit(v: int) -> int:
-    """Index of the lowest set bit of v > 0."""
-    return (v & -v).bit_length() - 1
-
-
 def _meet_violation(a, b) -> Violation:
     return Violation("meet", (a, b), None, "componentwise minimum is missing")
 
@@ -705,9 +701,6 @@ def _meet_violations(small: SmallSet) -> list:
                 if miss:
                     return [_meet_violation(Point(p + (x,)), Point(q + (_low_bit(miss),)))]
     raise AssertionError("the meet closure gained bits but no row pair fails")
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to bytes 0 and 1
 
 
 def _some_sum_missing(rows, top, addend_rows=None) -> bool:
@@ -929,15 +922,24 @@ def maximal_elements(s: GoodSemigroup) -> tuple:
     return tuple(Point((x, y)) for x, y in enumerate(up) if -inf < y < inf and across[y] == x)
 
 
+def _axis_bits(rows) -> tuple:
+    """n = 2: the values each axis takes on the points of the bit rows, as
+    ints: bit x for each nonempty row x, and the OR of the rows."""
+    return _int_of(list(itertools.compress(itertools.count(), rows))), reduce(or_, rows)
+
+
+def _product_rows(a: int, b: int, top) -> list:
+    """n = 2: the bit rows of [0, top] of the product of the sets of the
+    member ints a and b (see numerical)."""
+    column = b & (2 << top[1]) - 1
+    return [column if a >> x & 1 else 0 for x in range(top[0] + 1)]
+
+
 def projection(s: GoodSemigroup, i: int) -> NumericalSemigroup:
-    """Coordinate image of the semigroup, a numerical semigroup."""
+    """Coordinate image of the semigroup, a numerical semigroup: the values
+    axis i takes on the small elements (_axis_bits), and every value from
+    top_i on, via the conductor cone."""
     _require_dim2(s, "projection")
     if i not in (0, 1):
         raise IndexError("axis %d out of range" % (i,))
-    fiber = s.small._fiber_tops[i]
-    # members below top[i] are exactly the values with a point on axis i;
-    # everything from top[i] on is a member via the conductor cone
-    conductor = s.small.top[i]
-    while conductor > 0 and fiber[conductor - 1] > -inf:
-        conductor -= 1
-    return ns_from_small((u for u in range(conductor + 1) if fiber[u] > -inf), conductor)
+    return _semigroup(_axis_bits(s.small.rows)[i] | -1 << s.small.top[i])

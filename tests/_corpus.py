@@ -66,9 +66,8 @@ def meet(a, b):
 
 def ns_tail(s, a):
     """The ideal of the members >= a of a numerical semigroup, by the
-    member test and bound that numerical._ideal reads."""
-    a = max(a, 0)
-    return numerical._ideal(s, lambda v: v >= a and ns_contains(s, v), max(a, s.conductor))
+    member int that numerical._ideal reads."""
+    return numerical._ideal(s, s._members & -1 << max(a, 0))
 
 
 def random_numerical(rng, max_conductor=10):

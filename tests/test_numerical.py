@@ -16,9 +16,10 @@ from goodsgp import (
     ns_from_generators,
     ns_from_small,
     ns_multiplicity,
+    projection,
 )
 
-from _corpus import addition_pair_loop, arf_fixpoint, arf_triple_scan, ns_tail
+from _corpus import addition_pair_loop, arf_fixpoint, arf_triple_scan, corpus, ns_tail
 
 
 def _is_arf(s):
@@ -53,6 +54,19 @@ def test_membership(ns23):
     assert ns_contains(ns23, 2)
     assert all(ns_contains(ns23, v) for v in range(2, 40))
     assert not ns_contains(ns23, -2)
+
+
+def test_membership_takes_ints_only():
+    # 10.5 lies past the conductor of <3, 5> and 2.5 below it: both raise
+    s = ns_from_generators([3, 5])
+    e = ideal_from_generators(s, [3])
+    for contains, x in ((ns_contains, s), (ideal_contains, e)):
+        for v in (10.5, 2.5):
+            with pytest.raises(TypeError):
+                contains(x, v)
+    # bools still read as ints
+    assert ns_contains(s, False) is True and ns_contains(s, True) is False
+    assert ideal_contains(e, False) is False and ideal_contains(e, 3) is True
 
 
 def test_from_small_round_trip():
@@ -219,3 +233,17 @@ def test_arf_and_ideals_against_brute_references():
             ideal_preimage_scale(e, k, s), s,
             lambda v: ns_contains(s, v) and ideal_contains(e, k * v), bound,
         )
+
+
+def test_sets_closed_by_construction_match_the_checked_constructor():
+    """ns_from_generators, ns_arf_closure and projection skip the checks of
+    ns_from_small: each result equals what ns_from_small builds from its
+    data, member int included."""
+    results = []
+    for s in _random_semigroups(6060, 200):
+        results += [s, ns_arf_closure(s)]
+    for g in corpus(514, 40, cap=9):
+        results += [projection(g, 0), projection(g, 1)]
+    for t in results:
+        u = ns_from_small(t.small_elements, t.conductor)
+        assert t == u and t._members == u._members
