@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GoodSgpError",
+    "DimensionMismatch",
+    "UnsupportedDimension",
+    "NonLocalError",
+    "NotGoodSemigroup",
+    "NotGoodIdeal",
+    "NotAGeneratingSystem",
+    "ConstructionError",
+]
+
 
 class GoodSgpError(Exception):
     """Base class for all library errors."""
@@ -17,7 +28,7 @@ class NonLocalError(GoodSgpError):
     """Operation requires a local semigroup (no nonzero element on a coordinate axis)."""
 
 
-class NotGoodSemigroup(GoodSgpError):
+class _Rejected(GoodSgpError):
     """A candidate point set failed validation.
 
     Attributes:
@@ -32,13 +43,12 @@ class NotGoodSemigroup(GoodSgpError):
         super().__init__(str(report))
 
 
-class NotGoodIdeal(GoodSgpError):
-    """A candidate point set failed the relative ideal axioms."""
+class NotGoodSemigroup(_Rejected):
+    """A candidate point set failed the good semigroup axioms."""
 
-    def __init__(self, report, small=None):
-        self.report = report
-        self.small = small
-        super().__init__(str(report))
+
+class NotGoodIdeal(_Rejected):
+    """A candidate point set failed the relative ideal axioms."""
 
 
 class NotAGeneratingSystem(GoodSgpError):

@@ -20,14 +20,21 @@ __all__ = [
 
 
 class Point(tuple):
-    """An immutable point of Z^n.  Addition and subtraction are componentwise."""
+    """An immutable point of Z^n.  Addition and subtraction are componentwise.
+
+    Each coordinate is read by int() and must equal what it reads as: ints,
+    bools and integral floats such as 2.0 are read, 2.5 raises ValueError.
+    """
 
     __slots__ = ()
 
     def __new__(cls, coords):
-        p = super().__new__(cls, (int(c) for c in coords))
+        coords = tuple(coords)
+        p = super().__new__(cls, map(int, coords))
         if not p:
             raise ValueError("a point needs at least one coordinate")
+        if p != coords:
+            raise ValueError("point %s has a non-integral coordinate" % (coords,))
         return p
 
     @property

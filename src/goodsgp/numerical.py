@@ -1,16 +1,16 @@
 """Numerical semigroups (cofinite submonoids of N) and their relative ideals.
 
-Everything here is finite data: a semigroup is stored as its conductor plus
-the members up to it, an ideal likewise.  These are the one dimensional
-building blocks for the product constructions and the base of the two
-dimensional Arf closure.
+Everything here is finite data: a semigroup is stored as one int, its
+member int, and an ideal as its ambient semigroup plus its member int.
+These are the one dimensional building blocks for the product
+constructions and the base of the two dimensional Arf closure.
 
-Every routine reads one cached member int per set (_MemberInt): bit v for
-each member v below the conductor and every bit from the conductor on, so
-it is negative, x >= 0 is a member when bit x is set, and the conductor is
-(~m).bit_length().  Each quantity has one route on these ints.  The reach
-of the generators is closed under + g by ORing its shifts by g, 2g, 4g, ...
-below the Schur bound.  Minimal generators of an ideal E of S are E minus
+The member int m of a set has bit v for each member v below the conductor
+and every bit from the conductor on, so it is negative, x >= 0 is a member
+when bit x is set, and the conductor is (~m).bit_length(); the conductor,
+small elements and generators are read off it (_MemberInt).  Each quantity
+has one route on these ints.  The reach of the generators is closed under
++ g by ORing its shifts by g, 2g, 4g, ... below the Schur bound.  Minimal generators of an ideal E of S are E minus
 E + (S minus 0), a semigroup's the same rule for E = S minus 0
 (_minimal_generators).  The Arf closure follows the multiplicity recursion
 of Rosales, García-Sánchez, García-García and Branco ("Arf numerical
@@ -45,12 +45,19 @@ __all__ = [
 
 
 class _MemberInt:
-    """The cached member int (see the module docstring), built from the
-    small elements unless the builder stored it."""
+    """A set stored as its member int _members (see the module docstring);
+    the conductor and small elements are read off it."""
 
     @cached_property
-    def _members(self) -> int:
-        return _int_of(self.small_elements) | -1 << self.conductor
+    def conductor(self) -> int:
+        """Least c with c + N inside the set."""
+        return (~self._members).bit_length()
+
+    @cached_property
+    def small_elements(self) -> tuple:
+        """The members v <= conductor, sorted."""
+        digits = format(self._members & (2 << self.conductor) - 1, "b")
+        return tuple(compress(count(), digits[::-1].encode().translate(_BIT_BYTES)))
 
     def __contains__(self, x):
         """Is the int x a member?  Any other type raises TypeError."""
@@ -60,30 +67,38 @@ class _MemberInt:
 
 @dataclass(frozen=True)
 class NumericalSemigroup(_MemberInt):
-    """A cofinite submonoid of N.
+    """A cofinite submonoid of N, stored as its member int, which must be
+    closed under sums (not checked: build through ns_from_generators or
+    ns_from_small).
 
     generators: the unique minimal generating set.
-    small_elements: the members v with v <= conductor, sorted.
+    small_elements: the members v <= conductor, sorted.
     conductor: least c with c + N contained in the semigroup.
     """
 
-    generators: tuple
-    small_elements: tuple
-    conductor: int
+    _members: int
+
+    @cached_property
+    def generators(self) -> tuple:
+        return _minimal_generators(self._members & ~1, self._members)
 
 
 @dataclass(frozen=True)
 class NumericalIdeal(_MemberInt):
     """A relative ideal E of a numerical semigroup with E contained in N.
 
-    Satisfies E + S subset of E.  Stored the same way as a semigroup: members
-    up to the conductor, plus the minimal generators (over the ambient).
+    Satisfies E + S subset of E (not checked: build through
+    ideal_from_generators or ideal_preimage_scale).  Stored as the ambient
+    and E's member int; generators are E's minimal generators over the
+    ambient.
     """
 
     ambient: NumericalSemigroup
-    generators: tuple
-    small_elements: tuple
-    conductor: int
+    _members: int
+
+    @cached_property
+    def generators(self) -> tuple:
+        return _minimal_generators(self._members, self.ambient._members)
 
 
 def ns_contains(s: NumericalSemigroup, x: int) -> bool:
@@ -111,14 +126,6 @@ def _low_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-def _small(m: int) -> tuple:
-    """The members up to the conductor of the member int m, and the
-    conductor."""
-    c = (~m).bit_length()
-    digits = format(m & (2 << c) - 1, "b")[::-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(count(), digits)), c
-
-
 def _minimal_generators(e: int, s: int) -> tuple:
     """E minus E + (S minus 0) for the member ints e of an ideal E and s of
     the semigroup S: the least member of E outside g + S for the generators
@@ -132,29 +139,18 @@ def _minimal_generators(e: int, s: int) -> tuple:
     return tuple(gens)
 
 
-def _semigroup(m: int) -> NumericalSemigroup:
-    """The semigroup of the member int m, which must be closed under sums
-    (not checked), with m cached."""
-    s = NumericalSemigroup(_minimal_generators(m & ~1, m), *_small(m))
-    vars(s)["_members"] = m
-    return s
-
-
-def _ideal(s: NumericalSemigroup, m: int) -> NumericalIdeal:
-    """The ideal of s of the member int m (not checked), with m cached."""
-    e = NumericalIdeal(s, _minimal_generators(m, s._members), *_small(m))
-    vars(e)["_members"] = m
-    return e
-
-
 def ns_from_small(small, conductor) -> NumericalSemigroup:
     """Build a semigroup from its members below the conductor.
 
     The data must describe an actual numerical semigroup: 0 present, closed
     under addition (checked up to the conductor), conductor minimal.
-    Closure takes one shifted bit test per member a: the members b >= a,
-    shifted up by a, must be members below the conductor; a failure names
-    the least such a, then the least b.
+    Closure takes one shifted bit test per greedy generator a of the data
+    (_minimal_generators), in increasing order: the members b >= a, shifted
+    up by a, must be members below the conductor; a failure names the least
+    such a, then the least b.  The least member a failing this test is a
+    greedy generator: else a = g + x for a smaller generator g and a nonzero
+    member x, and for b >= a, x + b and then g + (x + b) come from smaller
+    members, which pass.
     """
     small = tuple(sorted(set(int(v) for v in small)))
     conductor = int(conductor)
@@ -165,14 +161,14 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
     if small[-1] != conductor or any(v > conductor for v in small):
         raise ValueError("small elements must end exactly at the conductor")
     bits = _int_of(small)
-    for a in small:
+    for a in _minimal_generators(bits & ~1, bits):
         missing = (bits >> a << 2 * a) & ~bits & ((1 << conductor) - 1)
         if missing:
             b = _low_bit(missing) - a
             raise ValueError("not closed under addition: %d + %d" % (a, b))
     if conductor > 0 and bits >> conductor - 1 & 1:
         raise ValueError("conductor %d is not minimal" % (conductor,))
-    return _semigroup(bits | -1 << conductor)
+    return NumericalSemigroup(bits | -1 << conductor)
 
 
 def ns_from_generators(gens) -> NumericalSemigroup:
@@ -191,7 +187,7 @@ def ns_from_generators(gens) -> NumericalSemigroup:
         while shift < bound:  # closed under + g below bound: shifts g, 2g, 4g, ...
             reach |= reach << shift & window
             shift *= 2
-    return _semigroup(reach | -1 << bound)
+    return NumericalSemigroup(reach | -1 << bound)
 
 
 def ns_element_at(s: NumericalSemigroup, i: int) -> int:
@@ -226,7 +222,7 @@ def _arf_chain(p: int) -> int:
 def ns_arf_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     """Smallest Arf semigroup containing s, by the multiplicity recursion
     (_arf_chain)."""
-    return _semigroup(_arf_chain(s._members & ~1))
+    return NumericalSemigroup(_arf_chain(s._members & ~1))
 
 
 def _preimage(m: int, k: int) -> int:
@@ -242,7 +238,7 @@ def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] < 0:
         raise ValueError("ideal generators must be nonnegative integers")
-    return _ideal(s, reduce(or_, (s._members << g for g in gens)))
+    return NumericalIdeal(s, reduce(or_, (s._members << g for g in gens)))
 
 
 def ideal_preimage_scale(e: NumericalIdeal, k: int, s: NumericalSemigroup) -> NumericalIdeal:
@@ -253,4 +249,4 @@ def ideal_preimage_scale(e: NumericalIdeal, k: int, s: NumericalSemigroup) -> Nu
     """
     if k < 1:
         raise ValueError("scale factor must be >= 1")
-    return _ideal(s, s._members & _preimage(e._members, k))
+    return NumericalIdeal(s, s._members & _preimage(e._members, k))

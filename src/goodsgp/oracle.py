@@ -23,22 +23,31 @@ __all__ = [
 ]
 
 
-def brute_member(points, top, p) -> bool:
+def _member_test(points, top):
     """Membership in the set described by small points, border rays, and the
-    cone above top.
+    cone above top, as a predicate on tuples; the point set is built once.
 
     p belongs exactly when its clamp into [0, top] is listed and the clamp
     sits on the border for every axis where p went past the top.
     """
     pts = set(map(tuple, points))
     top = tuple(top)
-    p = tuple(p)
-    if any(x < 0 for x in p):
-        return False
-    base = tuple(min(x, t) for x, t in zip(p, top))
-    if base not in pts:
-        return False
-    return all(base[i] == top[i] for i in range(len(top)) if p[i] > top[i])
+
+    def member(p) -> bool:
+        if any(x < 0 for x in p):
+            return False
+        base = tuple(min(x, t) for x, t in zip(p, top))
+        if base not in pts:
+            return False
+        return all(base[i] == top[i] for i in range(len(top)) if p[i] > top[i])
+
+    return member
+
+
+def brute_member(points, top, p) -> bool:
+    """Membership in the set described by small points, border rays, and the
+    cone above top (_member_test)."""
+    return _member_test(points, top)(tuple(p))
 
 
 def brute_closure(gens, conductor) -> SmallSet:
@@ -94,16 +103,8 @@ def brute_canonical(s: GoodSemigroup) -> SmallSet:
     """
     if s.dim != 2:
         raise UnsupportedDimension("brute_canonical is implemented for n = 2 only")
-    pts = set(map(tuple, s.small.points))
     top = tuple(s.small.top)
-
-    def member(p):
-        if p[0] < 0 or p[1] < 0:
-            return False
-        base = (min(p[0], top[0]), min(p[1], top[1]))
-        if base not in pts:
-            return False
-        return all(base[i] == top[i] for i in (0, 1) if p[i] > top[i])
+    member = _member_test(s.small.points, top)
 
     def delta_hit(x, i):
         j = 1 - i
@@ -134,17 +135,7 @@ def brute_arf_check(s: GoodSemigroup, box) -> bool:
     box = Point(box)
     if box.dim != s.dim:
         raise ValueError("box %r vs semigroup dimension %d" % (box, s.dim))
-    pts = set(map(tuple, s.small.points))
-    top = tuple(s.small.top)
-
-    def member(p):
-        if any(x < 0 for x in p):
-            return False
-        base = tuple(min(x, t) for x, t in zip(p, top))
-        if base not in pts:
-            return False
-        return all(base[i] == top[i] for i in range(len(top)) if p[i] > top[i])
-
+    member = _member_test(s.small.points, s.small.top)
     inside = [
         p
         for p in itertools.product(*(range(b + 1) for b in box))

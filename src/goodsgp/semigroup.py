@@ -85,7 +85,7 @@ from operator import add, and_, itemgetter, le, lt, mul, or_, sub
 
 from .errors import NotGoodSemigroup, UnsupportedDimension
 from .lattice import Point, _wrong_dimension
-from .numerical import _BIT_BYTES, NumericalSemigroup, _int_of, _low_bit, _semigroup
+from .numerical import _BIT_BYTES, NumericalSemigroup, _int_of, _low_bit
 
 __all__ = [
     "SmallSet",
@@ -942,4 +942,4 @@ def projection(s: GoodSemigroup, i: int) -> NumericalSemigroup:
     _require_dim2(s, "projection")
     if i not in (0, 1):
         raise IndexError("axis %d out of range" % (i,))
-    return _semigroup(_axis_bits(s.small.rows)[i] | -1 << s.small.top[i])
+    return NumericalSemigroup(_axis_bits(s.small.rows)[i] | -1 << s.small.top[i])

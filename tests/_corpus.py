@@ -22,6 +22,7 @@ from goodsgp import (
     NonLocalError,
     NotAGeneratingSystem,
     NotGoodSemigroup,
+    NumericalIdeal,
     Point,
     SmallSet,
     amalgamation,
@@ -44,7 +45,7 @@ from goodsgp import (
     projection,
     small_set,
 )
-from goodsgp import ideals, numerical, semigroup
+from goodsgp import ideals, semigroup
 from goodsgp.ideals import good_ideal
 from goodsgp.semigroup import _box_rows, _fold_rows, _low_bit, _meet_closure, _row_points
 
@@ -65,9 +66,9 @@ def meet(a, b):
 
 
 def ns_tail(s, a):
-    """The ideal of the members >= a of a numerical semigroup, by the
-    member int that numerical._ideal reads."""
-    return numerical._ideal(s, s._members & -1 << max(a, 0))
+    """The ideal of the members >= a of a numerical semigroup, by its
+    member int."""
+    return NumericalIdeal(s, s._members & -1 << max(a, 0))
 
 
 def random_numerical(rng, max_conductor=10):
@@ -740,6 +741,18 @@ def addition_pair_loop(small, conductor):
         for b in members:
             if a <= b and a + b < conductor and a + b not in members:
                 return a, b
+    return None
+
+
+def addition_member_loop(small, conductor):
+    """The same pair by one shifted bit test per member a: the members
+    b >= a, shifted up by a, must be members below the conductor.  The
+    reference for ns_from_small, which tests only the greedy generators."""
+    bits = reduce(or_, (1 << v for v in small), 0)
+    for a in sorted(set(small)):
+        missing = (bits >> a << 2 * a) & ~bits & ((1 << conductor) - 1)
+        if missing:
+            return a, _low_bit(missing) - a
     return None
 
 

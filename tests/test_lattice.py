@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from goodsgp import DimensionMismatch, Point, join, ones
+from goodsgp import DimensionMismatch, Point, gs_contains, join, ones, small_set
 
 from _corpus import meet
 
@@ -21,6 +21,18 @@ def test_point_is_a_tuple_of_ints():
     assert isinstance(p, tuple)
     assert p == (2, 3)
     assert all(isinstance(c, int) for c in p)
+
+
+def test_point_refuses_non_integral_coordinates(dup_example):
+    # int() would truncate each of these to a point that exists
+    for p in ((2.5, 3), (3, 2.5), (3.9, 3.2)):
+        with pytest.raises(ValueError, match=r"point \(.*\) has a non-integral coordinate"):
+            Point(p)
+    with pytest.raises(ValueError, match=r"point \(3\.9, 3\.2\)"):
+        gs_contains(dup_example, (3.9, 3.2))
+    with pytest.raises(ValueError, match=r"point \(2\.5, 2\)"):
+        small_set([(0, 0), (2.5, 2)])
+    assert Point((True, 2.0)) == (1, 2)
 
 
 def test_point_needs_a_coordinate():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from goodsgp import (
     projection,
 )
 
-from _corpus import addition_pair_loop, arf_fixpoint, arf_triple_scan, corpus, ns_tail
+from _corpus import addition_member_loop, addition_pair_loop, arf_fixpoint, arf_triple_scan, corpus, ns_tail
 
 
 def _is_arf(s):
@@ -106,6 +107,48 @@ def test_closure_failures_name_the_pair_of_the_pair_loop():
             assert message == "not closed under addition: %d + %d" % pair, small
             named += 1
     assert named > 200
+
+
+def _closure_pair(small, c):
+    """The pair a + b that ns_from_small names as missing, or None."""
+    try:
+        ns_from_small(small, c)
+    except ValueError as exc:
+        if str(exc).startswith("not closed"):
+            return tuple(map(int, str(exc).rsplit(": ", 1)[1].split(" + ")))
+    return None
+
+
+def test_closure_by_generators_names_the_pair_of_the_member_loop():
+    """ns_from_small, which tests its greedy generators, names the pair of
+    the test of every member, on semigroups S with one to three values below
+    the conductor flipped, and on S joined with v + S for one or two gaps v,
+    whose least failing member is a gap, often a late generator."""
+    rng = random.Random(4111)
+    cases = []
+    for s in _random_semigroups(4112, 400, max_conductor=200):
+        c, small = s.conductor, set(s.small_elements)
+        gaps = sorted(set(range(1, c)) - small)
+        if not gaps:
+            continue
+        cases.append(small ^ set(rng.sample(range(1, c), rng.randint(1, min(3, c - 1)))))
+        for v in rng.sample(gaps, min(len(gaps), rng.randint(1, 2))):
+            small |= {v + x for x in s.small_elements if v + x <= c}
+        cases.append(small)
+    named = 0
+    for small in cases:
+        c = max(small)
+        pair = addition_member_loop(small, c)
+        assert _closure_pair(small, c) == pair, (sorted(small), c)
+        named += pair is not None
+    assert named > 400
+
+
+def test_closure_of_large_data_is_checked_by_generators():
+    s = ns_from_generators([500, 501])
+    start = time.perf_counter()
+    assert ns_from_small(s.small_elements, s.conductor) == s
+    assert time.perf_counter() - start < 1.0
 
 
 def test_element_at_and_multiplicity():
