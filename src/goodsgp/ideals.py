@@ -26,13 +26,14 @@ same construction with the members of E as H and F in place of S.  Both
 run through one bit-row routine (_clamped_sum_ideal), in every dimension:
 the box members of the second operand are its box rows
 (semigroup._box_rows), and each point of the first, a generator or a small
-element of E, translates all of them at once, one shift per row.  E's
-members past its small elements lie on the rays of its border points, and
-a ray costs one operation per row too: along the last axis it fills a
-shifted row from its lowest bit up, and along each other axis it is a
-running OR across the rows.  The routine then lowers the corner to the
-minimal conductor of the data and validates the ideal axioms; failures
-raise NotGoodIdeal with a witness report.
+element of E, translates all of them at once, one shift per row, by the
+translate kernel that minimal generating systems share
+(semigroup._translates).  E's members past its small elements lie on the
+rays of its border points, and a ray costs one operation per row too:
+along the last axis it fills a shifted row from its lowest bit up, and
+along each other axis it is a running OR across the rows.  The routine
+then lowers the corner to the minimal conductor of the data and validates
+the ideal axioms; failures raise NotGoodIdeal with a witness report.
 
 Tail ideals read their data off the ambient's rows too (_box_rows, with
 the base point as the box's low corner), in every dimension.
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from math import inf
-from operator import mul, or_
+from operator import or_
 
 from .errors import NonLocalError, NotGoodIdeal
 from .lattice import Point, _wrong_dimension, join, ones
@@ -68,13 +69,12 @@ from .semigroup import (
     _low_bit,
     _meet_closure,
     _meet_violations,
-    _padding,
     _prefixes,
     _require_dim2,
     _row_tuples,
     _rows,
-    _strides,
     _tail_sum_closed,
+    _translates,
     is_local,
     maximal_elements,
     normalize_conductor,
@@ -184,54 +184,10 @@ def gi_contains(e: GoodRelativeIdeal, p) -> bool:
 
 def _clamped_sum_ideal(s: GoodSemigroup, rows, top, other: SmallSet, corner):
     """The ideal whose data is the meet closure of min(p + q, corner) over
-    the members p of the bit rows `rows` of [0, top] and the members q of
-    the set `other` reconstructs, with its corner lowered to the minimal
-    conductor and validated.  As in a small set, a point p with p_i = top_i
-    stands for its ray p + N e_i as well.
-
-    The box rows of other (_box_rows) are ORed, per row of `rows` at prefix
-    p, into groups by target row, the row at min(p + q', corner')
-    (_padding).  Each bit y of the row ORs every group, shifted up by y
-    with the bits from corner_n on folded into bit corner_n, into its
-    target row.  The rays take one operation per group each:
-
-    * along the last axis (y = top_n): the shifted group's bits from its
-      lowest bit up to corner_n;
-    * along the set A of prefix axes on which p sits at the top: the
-      translates go to an array of their own for A, which takes a running
-      OR along each axis of A at the end.
-
-    _meet_closure then closes the union of the arrays.
-    """
-    below, last = (1 << corner[-1]) - 1, 1 << corner[-1]
-    strides, offsets, clamp = _padding(corner)
-    box = [(o, g) for o, g in zip(offsets, _box_rows(other, corner)) if g]
-    outs = {}  # the translates, per set of prefix axes with rays
-    for p, r in zip(_prefixes(top), rows):
-        if not r:
-            continue
-        into, groups = clamp[sum(map(mul, p, strides)) :], {}
-        for o, g in box:
-            groups[into[o]] = groups.get(into[o], 0) | g
-        rays = tuple(j for j, x in enumerate(p) if x == top[j])
-        out = outs.setdefault(rays, [0] * len(offsets))
-        while r:
-            y = _low_bit(r)
-            r &= r - 1
-            if y == top[-1]:  # the ray along the last axis: every bit from the lowest on
-                for i, g in groups.items():
-                    out[i] |= -(g & -g) << y & below | last
-                continue
-            for i, g in groups.items():
-                v = g << y
-                out[i] |= v & below | last if v > below else v
-    steps = _strides([t + 1 for t in corner[:-1]])
-    for rays, out in outs.items():
-        for j in rays:  # the rays along prefix axis j: a running OR along it
-            for i, q in enumerate(_prefixes(corner)):
-                if q[j]:
-                    out[i] |= out[i - steps[j]]
-    data = [reduce(or_, col) for col in zip(*outs.values())]
+    the points p of the bit rows `rows` of [0, top] and the members q of
+    the set `other` reconstructs (_translates of its _box_rows), with its
+    corner lowered to the minimal conductor and validated."""
+    data = _translates(rows, top, _box_rows(other, corner), corner)
     small = SmallSet._of_rows(_meet_closure(data, corner), corner)
     return good_ideal(s, normalize_conductor(small))
 

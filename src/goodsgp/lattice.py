@@ -20,21 +20,16 @@ __all__ = [
 
 
 class Point(tuple):
-    """An immutable point of Z^n.  Addition and subtraction are componentwise.
-
-    Each coordinate is read by int() and must equal what it reads as: ints,
-    bools and integral floats such as 2.0 are read, 2.5 raises ValueError.
-    """
+    """An immutable point of Z^n, its coordinates read by _integers.
+    Addition and subtraction are componentwise."""
 
     __slots__ = ()
 
     def __new__(cls, coords):
-        coords = tuple(coords)
-        p = super().__new__(cls, map(int, coords))
+        p = tuple.__new__(
+            cls, _integers(tuple(coords), "point %(values)s has a non-integral coordinate"))
         if not p:
             raise ValueError("a point needs at least one coordinate")
-        if p != coords:
-            raise ValueError("point %s has a non-integral coordinate" % (coords,))
         return p
 
     @property
@@ -53,6 +48,18 @@ class Point(tuple):
 
     def __repr__(self):
         return "Point(%s)" % (tuple(self),)
+
+
+def _integers(values: tuple, error="%(value)r is not an integer") -> tuple:
+    """The tuple values read by int(), each of which must equal what it
+    reads as: ints, bools and integral floats such as 2.0 are read, while
+    2.5 or "3" raises ValueError(error % {"values": values, "value": v}),
+    v the first such value."""
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if i != v)
+        raise ValueError(error % {"values": values, "value": bad})
+    return ints
 
 
 def _wrong_dimension(p, n, noun="point") -> DimensionMismatch:

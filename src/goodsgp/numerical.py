@@ -29,6 +29,8 @@ from functools import cached_property, reduce
 from itertools import compress, count
 from operator import index, or_
 
+from .lattice import _integers
+
 __all__ = [
     "NumericalSemigroup",
     "NumericalIdeal",
@@ -152,8 +154,8 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
     member x, and for b >= a, x + b and then g + (x + b) come from smaller
     members, which pass.
     """
-    small = tuple(sorted(set(int(v) for v in small)))
-    conductor = int(conductor)
+    small = tuple(sorted(set(_integers(tuple(small)))))
+    (conductor,) = _integers((conductor,))
     if conductor < 0:
         raise ValueError("conductor must be nonnegative")
     if not small or small[0] != 0:
@@ -173,7 +175,7 @@ def ns_from_small(small, conductor) -> NumericalSemigroup:
 
 def ns_from_generators(gens) -> NumericalSemigroup:
     """The numerical semigroup generated by gens (positive, gcd 1)."""
-    gens = sorted(set(int(g) for g in gens))
+    gens = sorted(set(_integers(tuple(gens))))
     if not gens or gens[0] <= 0:
         raise ValueError("generators must be positive integers")
     if math.gcd(*gens) != 1:
@@ -235,7 +237,7 @@ def _preimage(m: int, k: int) -> int:
 
 def ideal_from_generators(s: NumericalSemigroup, gens) -> NumericalIdeal:
     """The ideal gens + s (generators must be nonnegative)."""
-    gens = sorted(set(int(g) for g in gens))
+    gens = sorted(set(_integers(tuple(gens))))
     if not gens or gens[0] < 0:
         raise ValueError("ideal generators must be nonnegative integers")
     return NumericalIdeal(s, reduce(or_, (s._members << g for g in gens)))

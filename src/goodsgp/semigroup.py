@@ -32,8 +32,8 @@ wrong dimension is reported in the words _checked_points uses
   of the row at min(p', C'), primes dropping the last coordinate.
 * min(a + b, C) for all b of the row at prefix p is that row shifted up by
   a's last coordinate, every bit at or above C's standing for it, and it
-  lands in the row at min(p + a', C').  The sum closure behind
-  closure_small and arf_saturation (_sum_closure) ORs these shifts, and
+  lands in the row at min(p + a', C').  The sum closure (_sum_closure) and
+  the translates of one set by another (_translates) OR these shifts, and
   the sum and absorption checks name their first missing sum by them
   (_first_missing_sum).
 * Whether some truncated sum is missing at all is one integer product per
@@ -45,10 +45,10 @@ wrong dimension is reported in the words _checked_points uses
 * A point p is a meet of points of a set X exactly when, on every axis i,
   some point x >= p of X has x_i = p_i: the meet of those points is p,
   and each argument of a meet lies above it and gives it one coordinate.
-  So the row at prefix p' of the meet closure (_meet_closure) is the OR
-  of the rows at prefixes q' >= p', up to the least, over the prefix axes
-  i, of the highest bits of the rows at q' >= p' with q_i = p_i: running
-  ORs and maxima back along the prefix axes, one pass in every dimension.
+  So the meet closure (_meet_closure) ANDs, over the axes i, the masks
+  R_i(X) of the points below some x of X with x_i = p_i (_dominance),
+  which the minimal generating systems read too: running ORs and maxima
+  of the rows back along the prefix axes, one pass in every dimension.
   For n = 2, column x is the union of the columns from x on, below the
   highest bit of column x.  A set is meet closed exactly when its closure
   equals its rows; only when it is not does the meet check pair rows, to
@@ -66,12 +66,10 @@ every dimension; normalize_conductor's descent on the last axis ANDs that
 slab's rows once and then reads one bit per step.
 
 The n = 2 invariants (maximal elements, the canonical ideal and its
-generators, minimal generating systems) all read one fiber-top table,
-built from the rows by one right to left scan (_last_points) and cached on
-the set (SmallSet._fiber_tops, read per value through
-SmallSet.fiber_top), instead of listing the points; the generating
-systems read their candidates' last points from the same scan.  The
-projections read each axis's values off the rows as one int (_axis_bits).
+generators) all read one fiber-top table, built from the rows by one
+right to left scan (_last_points) and cached on the set
+(SmallSet._fiber_tops), instead of listing the points.  The projections
+read each axis's values off the rows as one int (_axis_bits).
 Validation reads no table, so validated data keeps only its rows.
 """
 
@@ -79,7 +77,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import inf, prod
 from operator import add, and_, itemgetter, le, lt, mul, or_, sub
 
@@ -160,12 +158,6 @@ class SmallSet:
         point lies on the top of the other axis and so starts a ray."""
         cols = _last_points(self.rows, self.top)
         return tuple(tuple(inf if v == t else v for v in c) for c, t in zip(cols, self.top[::-1]))
-
-    def fiber_top(self, axis: int, value: int):
-        """n = 2 only: the largest other coordinate of a member of the
-        reconstructed set with `value` on `axis`: inf on a ray and past the
-        top, -inf when there is none."""
-        return self._fiber_tops[axis][min(value, self.top[axis])] if value >= 0 else -inf
 
     @property
     def dim(self) -> int:
@@ -436,6 +428,47 @@ def _sum_closure(gens, top) -> list:
     return rows
 
 
+def _translates(rows, top, box, corner) -> list:
+    """The bit rows of [0, corner] of min(p + q, corner) over the points p
+    of the bit rows `rows` of [0, top], top <= corner, rays p + N e_i where
+    p_i = top_i included, and q of the bit rows `box` of [0, corner].
+
+    Per row of `rows` at prefix p, the rows of box are ORed into groups by
+    target row, min(p + q', corner') (_padding), and each bit y ORs every
+    group, shifted up by y and folded at corner_n, into its target.  A ray
+    along the last axis fills each shifted group from its lowest bit up;
+    the translates of a p at the top on a set A of prefix axes go to an
+    array of their own, ORed along each axis of A at the end.
+    """
+    below, last = (1 << corner[-1]) - 1, 1 << corner[-1]
+    strides, offsets, clamp = _padding(corner)
+    box = [(o, g) for o, g in zip(offsets, box) if g]
+    outs = {(): [0] * len(offsets)}  # the translates, per set of prefix axes with rays
+    for p, r in filter(itemgetter(1), zip(_prefixes(top), rows)):  # the nonempty rows
+        into, groups = clamp[sum(map(mul, p, strides)) :], {}
+        for o, g in box:
+            groups[into[o]] = groups.get(into[o], 0) | g
+        rays = tuple(j for j, x in enumerate(p) if x == top[j])
+        out = outs.setdefault(rays, [0] * len(offsets))
+        while r:
+            y = _low_bit(r)
+            r &= r - 1
+            if y == top[-1]:  # the ray along the last axis: every bit from the lowest on
+                for i, g in groups.items():
+                    out[i] |= -(g & -g) << y & below | last
+                continue
+            for i, g in groups.items():
+                v = g << y
+                out[i] |= v & below | last if v > below else v
+    steps = _strides([t + 1 for t in corner[:-1]])
+    for rays, out in outs.items():
+        for j in rays:  # the rays along prefix axis j: a running OR along it
+            for i, q in enumerate(_prefixes(corner)):
+                if q[j]:
+                    out[i] |= out[i - steps[j]]
+    return [reduce(or_, col) for col in zip(*outs.values())]
+
+
 def _run_back(table, sides, axis, op):
     """Fold op, in place, over each line along axis of a row-major table of
     the box with the given side lengths, from the line's end back: each
@@ -448,28 +481,32 @@ def _run_back(table, sides, axis, op):
             table[line] = list(itertools.accumulate(reversed(table[line]), op))[::-1]
 
 
-def _meet_closure(rows, top) -> list:
-    """The bit rows of the closure of the bit rows of [0, top] under
-    componentwise minima, in one pass (see the module docstring).
-
-    Row p' of the closure is U(p'), the OR of the rows at prefixes q' >= p',
-    up to bit min_i H_i(p'), where H_i(p') is the highest bit of the rows at
-    prefixes q' >= p' with q_i = p_i.  U is a running OR back along every
-    prefix axis, and H_i, from the rows' highest bits, a running max back
-    along every prefix axis but i.  For n = 1 there is no prefix axis, and
-    the closure is the rows.
-    """
+def _dominance(rows, top) -> list:
+    """Per axis i, the bit rows of [0, top] of R_i(X), the points p below
+    some x of X with x_i = p_i, X the points of the bit rows (see the module
+    docstring): for the last axis, the OR of the rows at prefixes q' >= p',
+    a running OR back along every prefix axis; for a prefix axis i, the
+    bits up to the highest one of the rows at q' >= p' with q_i = p_i, a
+    running max back along every prefix axis but i.  For n = 1, X itself."""
     sides = [t + 1 for t in top[:-1]]
-    out = list(rows)
-    for i in range(len(sides)):
-        _run_back(out, sides, i, or_)
+    masks = []
     for i in range(len(sides)):
         high = list(map(int.bit_length, rows))
         for j in range(len(sides)):
             if j != i:
                 _run_back(high, sides, j, max)
-        out = [u & ((1 << h) - 1) for u, h in zip(out, high)]
-    return out
+        masks.append([(1 << h) - 1 for h in high])
+    out = list(rows)
+    for i in range(len(sides)):
+        _run_back(out, sides, i, or_)
+    return masks + [out]
+
+
+def _meet_closure(rows, top) -> list:
+    """The bit rows of the closure of the bit rows of [0, top] under
+    componentwise minima, in one pass (see the module docstring): the AND,
+    over the axes, of the dominance masks (_dominance)."""
+    return list(reduce(partial(map, and_), _dominance(rows, top)))
 
 
 def closure_small(gens, conductor) -> SmallSet:

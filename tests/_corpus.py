@@ -14,7 +14,7 @@ import random
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import inf, prod
-from operator import le, lt, or_
+from operator import add, le, lt, or_, sub
 
 from goodsgp import (
     ConstructionError,
@@ -408,6 +408,50 @@ def chain_lengths(small):
     return longest[pts[-1]], shortest[pts[-1]]
 
 
+def box_set(e):
+    """A good ideal (or semigroup) e as a box set (low, cone, points): a
+    lower bound of its members, a point whose cone it contains, and its
+    members in [low, cone], a box set's members being the y >= low whose
+    clamp min(y, cone) is one of those points (the rays of the border)."""
+    pts = e.small.points
+    return tuple(map(min, zip(*pts))), tuple(e.small.top), frozenset(map(tuple, pts))
+
+
+def box_member(a, y) -> bool:
+    low, cone, pts = a
+    return all(map(le, low, y)) and tuple(map(min, y, cone)) in pts
+
+
+def colon(a, b):
+    """A - B = {x in Z^n : x + B inside A} for box sets a and b whose member
+    sets are meet closed: as a box set, exactly.
+
+    With m the meet of b's points, the least member of B, every member x
+    has x + m in A, so x >= low(A) - m, and every x >= cone(A) - m is one.
+    x + b lies in A exactly when its clamp at cone(A) does, and replacing b
+    by min(b, t), t = max(cone(B), cone(A) - x), a member of B, keeps that
+    clamp, so x is decided by the members of B in [m, t].  The colon is
+    meet closed and keeps the rays past its cone, as A does."""
+    m = tuple(map(min, zip(*b[2])))
+    low, cone = tuple(map(sub, a[0], m)), tuple(map(sub, a[1], m))
+    pts = set()
+    for x in itertools.product(*map(range, low, (c + 1 for c in cone))):
+        t = map(max, b[1], map(sub, a[1], x))
+        within = itertools.product(*map(range, m, (u + 1 for u in t)))
+        if all(box_member(a, tuple(map(add, x, y))) for y in within if box_member(b, y)):
+            pts.add(x)
+    return low, cone, frozenset(pts)
+
+
+def same_box_sets(a, b) -> bool:
+    """Whether two box sets have the same members: the same members in the
+    box from the lower of their lows to the join of their cones, past which
+    both are read off that box's border."""
+    low, high = tuple(map(min, a[0], b[0])), tuple(map(max, a[1], b[1]))
+    return all(box_member(a, y) == box_member(b, y)
+               for y in itertools.product(*map(range, low, (h + 1 for h in high))))
+
+
 def maximal_by_points(s):
     """maximal_elements by one test per small element, the reference for
     its read of the fiber-top table: p is maximal when it is the highest
@@ -693,7 +737,7 @@ def removable_by_candidates(cands, corner, ambient):
     tables = []
     for i in (0, 1):
         high = _fiber_top(cands, i)
-        fiber = [ambient.small.fiber_top(i, u) for u in range(corner[i])]
+        fiber = [fiber_top(ambient.small, i, u) for u in range(corner[i])]
         reach = {
             u: max((c + fiber[u - a] for a, c in high.items() if a < u), default=-inf)
             for u in {p[i] for p in cands if p[i] < corner[i]}
@@ -712,8 +756,8 @@ def is_minimal_by_closure(gens, s):
     """is_minimal_system by two routes: the truncated closure of the clamped
     points decides generation, and the removal rule on them
     (removable_by_candidates) minimality, with the special cases for a set
-    holding only 0 and one holding 0: the reference for the one route by
-    the uniqueness of the minimal system."""
+    holding only 0 and one holding 0: the reference, in N^2, for the one
+    route by the uniqueness of the minimal system."""
     if not is_local(s):
         raise NonLocalError("minimal generating systems require a local semigroup")
     top = s.small.top
@@ -903,6 +947,13 @@ def ladder_duplication(rung):
 
 def _middle(cands):
     return sorted(cands)[len(cands) // 2]
+
+
+def fiber_top(small, axis, value):
+    """n = 2: the largest other coordinate of a member of the set small
+    reconstructs with `value` on `axis`, read off SmallSet._fiber_tops: inf
+    on a ray and past the top, -inf when there is none."""
+    return small._fiber_tops[axis][min(value, small.top[axis])] if value >= 0 else -inf
 
 
 def _fiber_top(pts, i):

@@ -291,22 +291,20 @@ def test_is_mingens(capsys, dup_doc):
     assert "reason" in payload
 
 
-def test_generating_systems_refuse_three_dimensions_by_name(capsys, tmp_path):
+def test_generating_systems_answer_in_three_dimensions(capsys, tmp_path):
     doc = _write(tmp_path, "local3.json", _LOCAL3)
-    code, out, err = _run(capsys, ["mingens", doc])
-    assert (code, out) == (3, "")
-    assert err == "error: minimal_generating_system is implemented for n = 2 only\n"
-    code, out, err = _run(capsys, ["is-mingens", doc, "--gens", "[[1,1,3],[1,2,4],[2,1,3]]"])
-    assert (code, out) == (3, "")
-    assert err == "error: is_minimal_system is implemented for n = 2 only\n"
-    # a set that does not generate is reported before the dimension matters
-    code, out, _ = _run(capsys, ["is-mingens", doc, "--gens", "[[1,1,1]]"])
-    assert code == 0 and json.loads(out)["generating"] is False
-    # among members, generation is decided by the minimal system, n = 2 only
-    for gens in ("[[1,1,3]]", "[]"):
-        code, out, err = _run(capsys, ["is-mingens", doc, "--gens", gens])
-        assert (code, out) == (3, "")
-        assert err == "error: is_minimal_system is implemented for n = 2 only\n"
+    code, out, _ = _run(capsys, ["mingens", doc])
+    assert code == 0
+    assert out == '{"mingens": [[1, 2, 4], [2, 1, 3]]}\n'
+    code, out, _ = _run(capsys, ["is-mingens", doc, "--gens", "[[1,1,3],[1,2,4],[2,1,3]]"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["generating"] is True and payload["is_minimal"] is False
+    # sets that do not generate, of points outside the semigroup or of
+    # members missing from the minimal system, are reported as such
+    for gens in ("[[1,1,1]]", "[[1,1,3]]", "[]"):
+        code, out, _ = _run(capsys, ["is-mingens", doc, "--gens", gens])
+        assert code == 0 and json.loads(out)["generating"] is False
     code, out, _ = _run(capsys, ["maximal", doc])
     assert (code, out) == (3, "")
 

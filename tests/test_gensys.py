@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
+from operator import add, ge
 
 import pytest
 
 from goodsgp import (
+    GoodSemigroup,
     NonLocalError,
     NotAGeneratingSystem,
+    NotGoodIdeal,
     Point,
     canonical_ideal,
     closure_small,
@@ -19,17 +23,20 @@ from goodsgp import (
     join,
     minimal_generating_system,
     normalize_conductor,
+    good_ideal,
     good_semigroup,
     gi_from_generators,
+    is_local,
     small_set,
     tail_ideal,
     minimal_ideal_generating_system,
+    validate_small_set,
 )
 from goodsgp import semigroup
 
 import _data as data
 from _corpus import (
-    LADDER, corpus, is_minimal_by_closure, ladder_duplication, membership_in_closure,
+    LADDER, closures3, corpus, is_minimal_by_closure, ladder_duplication, membership_in_closure,
     monoid_fiber_reach, removable_by_candidates, sequential_elimination, shuffled_eliminations,
 )
 
@@ -242,24 +249,99 @@ def _ideal_closure_points(hgens, s, top):
     bound = join(top, s.small.top)
     members = [
         x
-        for x in itertools.product(range(bound[0] + 2), range(bound[1] + 2))
+        for x in itertools.product(*(range(b + 2) for b in bound))
         if brute_member(s.small.points, s.small.top, x)
     ]
-    pts = {
-        (min(h[0] + x[0], top[0]), min(h[1] + x[1], top[1]))
-        for h in hgens
-        for x in members
-    }
+    pts = {tuple(map(min, map(add, h, x), top)) for h in hgens for x in members}
     changed = True
     while changed:
         changed = False
         for a in list(pts):
             for b in list(pts):
-                m = (min(a[0], b[0]), min(a[1], b[1]))
+                m = tuple(map(min, a, b))
                 if m not in pts:
                     pts.add(m)
                     changed = True
     return tuple(sorted(Point(p) for p in pts))
+
+
+def _clamped_tails(s, rng, count):
+    """Tails of s at random small elements, clamped into a box [0, k] with
+    k below C(S) on some axis: those of count draws that good_ideal accepts."""
+    out = []
+    for _ in range(count):
+        e = tail_ideal(s, rng.choice(s.small.points))
+        k = Point(rng.randint(0, t) for t in e.small.top)
+        if all(map(ge, k, s.small.top)):
+            continue
+        try:
+            out.append(good_ideal(s, small_set({tuple(map(min, p, k)) for p in e.small.points}, k)))
+        except NotGoodIdeal:
+            continue
+    return out
+
+
+@lru_cache(maxsize=None)
+def _local_closures3(seeds, count, cap):
+    """The valid local closures of N^3 among closures3(seed, count, cap)
+    over the seeds."""
+    sems = (GoodSemigroup(small) for seed in seeds for small in closures3(seed, count, cap)
+            if validate_small_set(small).ok)
+    return tuple(s for s in sems if is_local(s))
+
+
+def test_minimal_systems_in_three_and_one_dimensions_match_the_closure_elimination():
+    # the removal rule has no dimension branch: against the elimination by
+    # the truncated closure (closure_small) of the candidates kept, which
+    # holds the conductor once they are not empty
+    sems = _local_closures3((3, 5, 8, 13), 150, 6)
+    for c in range(12):  # every numerical semigroup with conductor below 12
+        for members in itertools.product((0, 1), repeat=max(c - 1, 0)):
+            small = small_set([(0,)] + [(v,) for v, m in enumerate(members, 1) if m] + [(c,)])
+            if validate_small_set(small).ok:
+                sems += (GoodSemigroup(small),)
+    assert {s.dim for s in sems} == {1, 3} and len(sems) > 300
+    for s in sems:
+        top = s.small.top
+        cands = [p for p in s.small.points if any(p)]
+        expect = sequential_elimination(
+            cands, lambda rest, p: bool(rest) and closure_small(rest, top).contains(p))
+        assert minimal_generating_system(s) == expect, s.small
+
+
+def test_ideal_systems_in_three_dimensions_match_the_brute_closure():
+    # tails, and tails clamped below the ambient's conductor, against an
+    # elimination by the brute clamped closure
+    rng = random.Random(3307)
+    sub_conductor = 0
+    for s in _local_closures3((3, 5), 60, 5):
+        ideals = [tail_ideal(s, a) for a in rng.sample(s.small.points, min(3, len(s.small.points)))]
+        clamped = _clamped_tails(s, rng, 3)
+        sub_conductor += len(clamped)
+        for e in ideals + clamped:
+            top = e.small.top
+            expect = sequential_elimination(
+                e.small.points, lambda rest, p: p in _ideal_closure_points(rest, s, top))
+            assert minimal_ideal_generating_system(e) == expect, (s.small, e.small)
+    assert sub_conductor > 10
+
+
+def test_is_minimal_system_in_three_dimensions():
+    rng = random.Random(9127)
+    verdicts = set()
+    for s in _local_closures3((3, 5, 8, 13), 150, 6):
+        base = list(minimal_generating_system(s))
+        nonzero = [p for p in s.small.points if any(p)]
+        assert is_minimal_system(base, s) is True
+        redundant = [p for p in nonzero if p not in base]
+        if redundant:
+            assert is_minimal_system(base + [rng.choice(redundant)], s) is False
+            verdicts.add(False)
+        if base:
+            dropped = rng.choice(base)
+            with pytest.raises(NotAGeneratingSystem):
+                is_minimal_system([p for p in base if p != dropped], s)
+    assert verdicts == {False}
 
 
 def test_tail_generating_systems_round_trip(dup_example):
@@ -282,12 +364,16 @@ def test_random_minimal_systems_are_stable_under_reordering():
 
 
 def test_random_minimal_ideal_systems_are_stable_under_reordering():
-    # tails and principal ideals, against an elimination by the brute
-    # closure in shuffled orders
-    rng = random.Random(4417)
+    # tails, principal ideals and tails clamped below the ambient's
+    # conductor, against an elimination by the brute closure in shuffled
+    # orders
+    rng, clamps = random.Random(4417), random.Random(4418)
+    sub_conductor = 0
     for s in corpus(8812, 8, cap=10):
         a, m = rng.sample(s.small.points, 2)
-        for e in (tail_ideal(s, a), gi_from_generators(s, [m])):
+        clamped = _clamped_tails(s, clamps, 4)
+        sub_conductor += len(clamped)
+        for e in [tail_ideal(s, a), gi_from_generators(s, [m])] + clamped:
             top = e.small.top
             base = minimal_ideal_generating_system(e)
             for _ in range(2):
@@ -296,3 +382,4 @@ def test_random_minimal_ideal_systems_are_stable_under_reordering():
                     order, lambda rest, p: p in _ideal_closure_points(rest, s, top)
                 )
                 assert eliminated == base
+    assert sub_conductor > 0

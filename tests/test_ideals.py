@@ -47,8 +47,10 @@ from _corpus import (
     absorption_pair_scan,
     arf_triple_loop,
     box_members,
+    box_set,
     chain_lengths,
     closures3,
+    colon,
     column_sum_ideal,
     corpus,
     kernel_cases,
@@ -56,6 +58,7 @@ from _corpus import (
     meet_fixpoint,
     meet_pair_scan,
     product_semigroup,
+    same_box_sets,
     stable_pair_loop,
     tail_pair_loop,
 )
@@ -471,6 +474,21 @@ def test_saturated_chains_measure_the_distance_to_symmetry():
     assert True in verdicts and False in verdicts
 
 
+def test_the_canonical_ideal_is_a_dualizing_ideal():
+    # Korell, Schulze and Tozzo (J. Commut. Algebra, 2019): K - (K - E) = E
+    # for good ideals E, with E - F = {x : x + F inside E}, by the exact
+    # colon of box sets; E runs over tails, principal ideals a + S and K
+    rng = random.Random(2719)
+    count = 0
+    for s in corpus(514, 40, cap=9):
+        k = box_set(canonical_ideal(s))
+        for e in (tail_ideal(s, rng.choice(s.small.points)),
+                  gi_from_generators(s, [rng.choice(s.small.points)]), canonical_ideal(s)):
+            assert same_box_sets(colon(k, colon(k, box_set(e))), box_set(e)), (s.small, e.small)
+            count += 1
+    assert count == 120
+
+
 def test_canonical_generating_family(dup35):
     fam = canonical_generators(dup35)
     assert data.points(fam) == data.points(data.DUP35_CANONICAL_GENS)
@@ -494,14 +512,13 @@ def test_canonical_requires_two_local_dimensions(product_nonlocal):
         canonical_ideal(cube)
 
 
-def test_ideal_operations_refuse_three_dimensions_by_name():
+def test_ideal_operations_work_in_three_dimensions():
     local3 = good_semigroup(
         small_set([(0, 0, 0), (1, 1, 3), (1, 2, 4), (2, 1, 3), (2, 2, 6)], (2, 2, 6))
     )
     e = tail_ideal(local3, (0, 0, 0))
-    with pytest.raises(UnsupportedDimension, match="^minimal_ideal_generating_system is"):
-        minimal_ideal_generating_system(e)
-    # sums and generation work in every dimension
+    # minimal systems, sums and generation work in every dimension
+    assert minimal_ideal_generating_system(e) == ((0, 0, 0),)
     assert sum_ideals(e, e).small == local3.small
     assert sum_ideals(e, e).conductor == (2, 2, 6)
     g = gi_from_generators(local3, [(1, 1, 3)])

@@ -192,6 +192,24 @@ def test_arf_closure_is_a_closure_operator():
         assert ns_arf_closure(t).small_elements == t.small_elements
 
 
+def test_readers_refuse_non_integral_values(ns23):
+    # values are read by Point's rule: ints, bools and integral floats as
+    # ints, anything int() would change refused by name
+    assert ns_from_generators([2.0, 3]).generators == (2, 3)
+    assert ns_from_small([0, 2.0, True + 1], 2.0).small_elements == (0, 2)
+    assert ideal_from_generators(ns23, [6.0]).small_elements == (6, 8)
+    for call, value in [
+        (lambda: ns_from_generators([2.5, 3]), "2.5"),
+        (lambda: ns_from_generators(["3", 5]), "'3'"),
+        (lambda: ns_from_small([0, 2.5, 4.2], 4.9), "2.5"),
+        (lambda: ns_from_small([0, 2, 4], 4.9), "4.9"),
+        (lambda: ideal_from_generators(ns23, [1.5]), "1.5"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == "%s is not an integer" % (value,)
+
+
 def test_ideal_from_generators(ns23):
     e = ideal_from_generators(ns23, [6])
     assert e.conductor == 8

@@ -60,6 +60,7 @@ from _corpus import (
     corpus,
     construction_by_membership,
     corrupt,
+    fiber_top,
     gi_by_points,
     is_minimal_by_points,
     kernel_cases,
@@ -456,8 +457,8 @@ def test_delta_fibers_and_maximal_elements(conductor_example):
     # a maximal element has no member strictly beyond it on either fiber
     small = conductor_example.small
     for p in got:
-        assert small.fiber_top(0, p[0]) == p[1]
-        assert small.fiber_top(1, p[1]) == p[0]
+        assert fiber_top(small, 0, p[0]) == p[1]
+        assert fiber_top(small, 1, p[1]) == p[0]
 
 
 def _maximal_scan(s):
@@ -518,14 +519,14 @@ def test_projections(dup_example, amalgam_example):
 
 def test_fiber_reaches(dup_example):
     # x = 6 carries members up to y = 8 and onward along the ray
-    fiber_top = dup_example.small.fiber_top
-    assert fiber_top(0, 6) == inf
-    assert fiber_top(0, 7) == 7
-    assert fiber_top(1, 3) == 3
-    assert fiber_top(0, 1) == -inf  # no member has x = 1
-    assert fiber_top(0, -1) == -inf
-    assert fiber_top(0, 20) == inf  # past the conductor
-    assert fiber_top(1, 20) == inf
+    small = dup_example.small
+    assert fiber_top(small, 0, 6) == inf
+    assert fiber_top(small, 0, 7) == 7
+    assert fiber_top(small, 1, 3) == 3
+    assert fiber_top(small, 0, 1) == -inf  # no member has x = 1
+    assert fiber_top(small, 0, -1) == -inf
+    assert fiber_top(small, 0, 20) == inf  # past the conductor
+    assert fiber_top(small, 1, 20) == inf
 
 
 def test_membership_matches_the_brute_oracle_on_random_instances():
